@@ -1,8 +1,7 @@
 (* cdna_dom: static domain-safety / race detector for the parallel core.
 
-   Third verification layer, over the same compiled .cmt typedtrees as
-   [Cdna_flow] (whose call-graph helpers, canonicalization and diagnostic
-   types it reuses). [Sim.Shard] runs logical processes (LPs) on worker
+   Third verification layer, over the same corpus [Program.load] reads
+   for [Cdna_flow]. [Sim.Shard] runs logical processes (LPs) on worker
    domains; any mutable value shared between LPs without going through
    [Domain.DLS] or the shard pool's mutex/condition merge path is a data
    race waiting for a multicore runner. This pass finds that state
@@ -48,29 +47,13 @@
    - DM3-domain-local-misuse: [@cdna.domain_local] on a non-state binding.
    - DS1-suppression-reason: [@cdna.domain_shared] without a reason. *)
 
-exception Dom_error of string
-
-module SSet = Cdna_flow.SSet
-module SMap = Cdna_flow.SMap
-module IdentMap = Map.Make (Ident)
-
-type hop = Cdna_flow.hop = { hop_what : string; hop_file : string; hop_line : int }
-
-type violation = Cdna_flow.violation = {
-  rule : string;
-  file : string;
-  line : int;
-  msg : string;
-  chain : hop list;
-  suppress : string option;
-}
+open Program
+include Program.Diag
 
 let rule_dm1 = "DM1-shared-mutable"
 let rule_dm2 = "DM2-captured-shared"
 let rule_dm3 = "DM3-domain-local-misuse"
 let rule_ds1 = "DS1-suppression-reason"
-let violation_compare = Cdna_flow.violation_compare
-let violation_to_string = Cdna_flow.violation_to_string
 
 (* ------------------------------------------------------------------ *)
 (* Classification lattice                                              *)
@@ -128,12 +111,11 @@ type dfn = {
 }
 
 type prog = {
+  core : Program.t;
   mutable fns : dfn SMap.t;
   mutable items : item SMap.t;
-  mutable aliases : string SMap.t; (* module aliases, for canon_of *)
   mutable uses : use list;
   mutable extra_viols : violation list; (* DM3 / DS1 *)
-  mutable n_files : int;
   mutable n_domain_local : int;
   mutable n_domain_shared : int;
   (* Captured-state idents -> item id, for closure-captured state. *)
@@ -156,28 +138,16 @@ type report = {
 (* ------------------------------------------------------------------ *)
 
 (* Everything in these layers executes inside engine callbacks: the
-   simulated hardware/OS stack is driven exclusively by scheduled
-   events. [sim] and [experiments] are mixed control-plane/LP code and
-   rely on closure reachability instead. *)
+   simulated hardware/OS stack (lib/cdna, the CDNA hypervisor extension,
+   included) is driven exclusively by scheduled events. [sim] and
+   [experiments] are mixed control-plane/LP code and rely on closure
+   reachability instead. *)
 let lp_layers =
   SSet.of_list
     [
       "nic"; "guestos"; "xen"; "host"; "memory"; "bus"; "core"; "ethernet";
-      "workload";
+      "workload"; "cdna-ext";
     ]
-
-let layer_of_file file =
-  let l = Cdna_flow.layer_of_file file in
-  if l <> "" then l
-  else if Cdna_flow.path_has_dir file "lib/ethernet" then "ethernet"
-  else if Cdna_flow.path_has_dir file "lib/workload" then "workload"
-  else if Cdna_flow.path_has_dir file "lib/cdna" then "cdna-ext"
-  else if Cdna_flow.path_has_dir file "lib/sim" then "sim"
-  else if Cdna_flow.path_has_dir file "lib/experiments" then "experiments"
-  else ""
-
-(* lib/cdna is the CDNA hypervisor extension: LP-resident too. *)
-let lp_layers = SSet.add "cdna-ext" lp_layers
 
 (* A literal closure passed to one of these runs as an engine callback
    on whatever domain the LP lands on. *)
@@ -256,8 +226,8 @@ let rec state_kind aliases env fuel ty =
   else
     match Types.get_desc ty with
     | Types.Tconstr (p, _, _) -> (
-        let c = Cdna_flow.canon_of aliases (Path.name p) in
-        let k = Cdna_flow.last_comp c in
+        let c = canon_of aliases (Path.name p) in
+        let k = last_comp c in
         if c = "DLS.key" then Some `Dls
         else if
           c = "Mutex.t" || c = "Condition.t" || c = "Atomic.t"
@@ -308,11 +278,8 @@ let rec state_kind aliases env fuel ty =
     | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Collection (pass 1): items, functions, module aliases               *)
+(* Collection (pass 1): items and functions from the binding table     *)
 (* ------------------------------------------------------------------ *)
-
-let loc_line = Cdna_flow.loc_line
-let hop = Chain.hop
 
 (* Peel the [let a = .. in let b = .. in fun x -> ..] spine of a
    toplevel closure: returns the captured bindings and whether the spine
@@ -328,222 +295,129 @@ let rec closure_spine (e : Typedtree.expression) =
 
 let add_item prog it = prog.items <- SMap.add it.i_id it prog.items
 
-(* [let x = ..] and [let x : t = ..] bind through different pattern
-   constructors. *)
-let pat_var (p : Typedtree.pattern) =
-  match p.pat_desc with
-  | Typedtree.Tpat_var (id, { txt; _ }) -> Some (id, txt)
-  | Typedtree.Tpat_alias ({ pat_desc = Typedtree.Tpat_any; _ }, id, { txt; _ })
-    ->
-      Some (id, txt)
-  | _ -> None
+let extra_viol prog rule file line msg =
+  prog.extra_viols <-
+    { rule; file; line; msg; chain = []; suppress = None } :: prog.extra_viols
 
-let register_binding prog ~modname ~file ~layer ~mod_suppress
-    (vb : Typedtree.value_binding) =
-  match pat_var vb.Typedtree.vb_pat with
-  | Some (ident, name) -> (
-      let attrs = vb.Typedtree.vb_attributes in
-      let domain_local = Cdna_flow.has_attr "cdna.domain_local" attrs in
-      let suppress =
-        match Cdna_flow.find_attr "cdna.domain_shared" attrs with
-        | Some a -> (
-            prog.n_domain_shared <- prog.n_domain_shared + 1;
-            match Cdna_flow.attr_reason a with
-            | Some r when String.trim r <> "" -> Some r
-            | _ ->
-                prog.extra_viols <-
-                  {
-                    rule = rule_ds1;
-                    file;
-                    line = loc_line vb.vb_loc;
-                    msg =
-                      Printf.sprintf
-                        "[@cdna.domain_shared] on '%s.%s' needs a reason \
-                         string explaining why sharing is safe"
-                        modname name;
-                    chain = [];
-                    suppress = None;
-                  }
-                  :: prog.extra_viols;
-                Some "")
-        | None -> mod_suppress
-      in
-      if domain_local then prog.n_domain_local <- prog.n_domain_local + 1;
-      let id = modname ^ "." ^ name in
-      let env = vb.vb_expr.exp_env in
-      let mk kind ?(captured_in = None) ?(alias_of = None) ~sync ~dls () =
-        add_item prog
-          {
-            i_id = id;
-            i_kind = kind;
-            i_file = file;
-            i_line = loc_line vb.vb_loc;
-            i_captured_in = captured_in;
-            i_alias_of = alias_of;
-            i_domain_local = domain_local;
-            i_suppress = suppress;
-            i_sync = sync;
-            i_dls = dls;
-            i_class = Lp_local;
-          }
-      in
-      let dm3 () =
-        prog.extra_viols <-
-          {
-            rule = rule_dm3;
-            file;
-            line = loc_line vb.vb_loc;
-            msg =
-              Printf.sprintf
-                "[@cdna.domain_local] on '%s' which is not mutable \
-                 module-level state"
-                id;
-            chain = [];
-            suppress = None;
-          }
-          :: prog.extra_viols
-      in
-      match (vb.vb_expr.exp_desc, closure_spine vb.vb_expr) with
-      | (Typedtree.Texp_function _ | Typedtree.Texp_let _), Some captured ->
-          (* A function, possibly with captured state in its let-spine. *)
-          let n_captured = ref 0 in
-          List.iter
-            (fun (cvb : Typedtree.value_binding) ->
-              match pat_var cvb.vb_pat with
-              | Some (cident, cname) -> (
-                  match
-                    state_kind prog.aliases cvb.vb_expr.exp_env 8
-                      cvb.vb_expr.exp_type
-                  with
-                  | Some (`Mut kind) ->
-                      incr n_captured;
-                      let cid = id ^ "." ^ cname in
-                      prog.captured <- IdentMap.add cident cid prog.captured;
-                      add_item prog
-                        {
-                          i_id = cid;
-                          i_kind = kind;
-                          i_file = file;
-                          i_line = loc_line cvb.vb_loc;
-                          i_captured_in = Some id;
-                          i_alias_of = None;
-                          i_domain_local = domain_local;
-                          i_suppress = suppress;
-                          i_sync = false;
-                          i_dls = false;
-                          i_class = Lp_local;
-                        }
-                  | Some `Dls | Some `Sync | None -> ())
-              | None -> ())
-            captured;
-          if domain_local && !n_captured = 0 then dm3 ();
-          let fn =
-            {
-              d_id = id;
-              d_module = modname;
-              d_file = file;
-              d_line = loc_line vb.vb_loc;
-              d_layer = layer;
-              d_body = vb.vb_expr;
-              d_locks = false;
-              d_calls = [];
-            }
-          in
-          prog.fns <- SMap.add id fn prog.fns
-      | _ -> (
-          ignore ident;
-          (* [let t = A.t]: an alias shares the target's identity, so it
-             must win over the mutable-type check; resolved during
-             classification. *)
-          let alias_target =
-            match vb.vb_expr.exp_desc with
-            | Typedtree.Texp_ident (p, _, _) -> (
-                match p with
-                | Path.Pident id ->
-                    let t = modname ^ "." ^ Ident.name id in
-                    if SMap.mem t prog.items then Some t else None
-                | _ ->
-                    let t = Cdna_flow.canon_of prog.aliases (Path.name p) in
-                    if String.contains t '.' then Some t else None)
-            | _ -> None
-          in
-          match alias_target with
-          | Some target ->
-              mk "alias" ~alias_of:(Some target) ~sync:false ~dls:false ()
-          | None -> (
-              match state_kind prog.aliases env 8 vb.vb_expr.exp_type with
-              | Some `Dls -> mk "DLS.key" ~sync:false ~dls:true ()
-              | Some `Sync -> mk "sync primitive" ~sync:true ~dls:false ()
-              | Some (`Mut kind) -> mk kind ~sync:false ~dls:false ()
-              | None -> if domain_local then dm3 ())))
-  | _ -> ()
+(* A [domain_shared] reason, [Some ""] (and a DS1) when it is missing. *)
+let shared_reason prog a ~file ~line ~what =
+  prog.n_domain_shared <- prog.n_domain_shared + 1;
+  match attr_reason a with
+  | Some r when String.trim r <> "" -> Some r
+  | _ ->
+      extra_viol prog rule_ds1 file line
+        (Printf.sprintf
+           "%s needs a reason string explaining why sharing is safe" what);
+      Some ""
 
-let rec collect_module prog ~modname ~file ~layer (str : Typedtree.structure) =
-  (* Module-level attributes: layer override and whole-module
-     suppression. *)
-  let layer = ref layer and mod_suppress = ref None in
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_attribute a -> (
-          (if Cdna_flow.attr_name a = "cdna.layer" then
-             match Cdna_flow.attr_reason a with
-             | Some l -> layer := l
-             | None -> ());
-          if Cdna_flow.attr_name a = "cdna.domain_shared" then (
-            prog.n_domain_shared <- prog.n_domain_shared + 1;
-            match Cdna_flow.attr_reason a with
-            | Some r when String.trim r <> "" -> mod_suppress := Some r
-            | _ ->
-                prog.extra_viols <-
-                  {
-                    rule = rule_ds1;
-                    file;
-                    line = loc_line a.attr_loc;
-                    msg =
-                      Printf.sprintf
-                        "[@@@cdna.domain_shared] on module %s needs a \
-                         reason string explaining why sharing is safe"
-                        modname;
-                    chain = [];
-                    suppress = None;
-                  }
-                  :: prog.extra_viols;
-                mod_suppress := Some ""))
-      | _ -> ())
-    str.str_items;
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter
-            (register_binding prog ~modname ~file ~layer:!layer
-               ~mod_suppress:!mod_suppress)
-            vbs
-      | Typedtree.Tstr_module mb ->
-          collect_module_binding prog ~file ~layer:!layer mb
-      | Typedtree.Tstr_recmodule mbs ->
-          List.iter (collect_module_binding prog ~file ~layer:!layer) mbs
-      | _ -> ())
-    str.str_items
+(* Whole-module suppression: the last [@@@cdna.domain_shared] of the
+   binding's own structure (not inherited by submodules). *)
+let register_scope prog (s : scope) =
+  List.fold_left
+    (fun acc a ->
+      if attr_name a = "cdna.domain_shared" then
+        shared_reason prog a ~file:s.s_file ~line:(loc_line a.attr_loc)
+          ~what:
+            (Printf.sprintf "[@@@cdna.domain_shared] on module %s" s.s_module)
+      else acc)
+    None s.s_attrs
 
-and collect_module_binding prog ~file ~layer (mb : Typedtree.module_binding) =
-  let name =
-    match mb.mb_id with
-    | Some id -> Ident.name id
-    | None -> ( match mb.mb_name.txt with Some n -> n | None -> "_")
+let register_binding prog ~mod_suppress (b : binding) =
+  let vb = b.b_vb and file = b.b_scope.s_file and id = b.b_id in
+  let line = loc_line vb.vb_loc in
+  let attrs = vb.vb_attributes in
+  let domain_local = has_attr "cdna.domain_local" attrs in
+  let suppress =
+    match find_attr "cdna.domain_shared" attrs with
+    | Some a ->
+        shared_reason prog a ~file ~line
+          ~what:(Printf.sprintf "[@cdna.domain_shared] on '%s'" id)
+    | None -> mod_suppress
   in
-  let rec of_mexpr (me : Typedtree.module_expr) =
-    match Chain.module_alias_target me with
-    | Some target -> prog.aliases <- SMap.add name target prog.aliases
-    | None -> (
-        match me.mod_desc with
-        | Typedtree.Tmod_structure s ->
-            collect_module prog ~modname:name ~file ~layer s
-        | Typedtree.Tmod_constraint (m, _, _, _) -> of_mexpr m
-        | _ -> ())
+  if domain_local then prog.n_domain_local <- prog.n_domain_local + 1;
+  let mk ?(captured_in = None) ?(alias_of = None) ?(sync = false) ?(dls = false)
+      ~id ~line kind =
+    add_item prog
+      {
+        i_id = id;
+        i_kind = kind;
+        i_file = file;
+        i_line = line;
+        i_captured_in = captured_in;
+        i_alias_of = alias_of;
+        i_domain_local = domain_local;
+        i_suppress = suppress;
+        i_sync = sync;
+        i_dls = dls;
+        i_class = Lp_local;
+      }
   in
-  of_mexpr mb.mb_expr
+  let dm3 () =
+    extra_viol prog rule_dm3 file line
+      (Printf.sprintf
+         "[@cdna.domain_local] on '%s' which is not mutable module-level state"
+         id)
+  in
+  match (vb.vb_expr.exp_desc, closure_spine vb.vb_expr) with
+  | (Typedtree.Texp_function _ | Typedtree.Texp_let _), Some captured ->
+      (* A function, possibly with captured state in its let-spine. *)
+      let n_captured = ref 0 in
+      List.iter
+        (fun (cvb : Typedtree.value_binding) ->
+          match pat_var cvb.vb_pat with
+          | Some (cident, cname) -> (
+              match
+                state_kind prog.core.aliases cvb.vb_expr.exp_env 8
+                  cvb.vb_expr.exp_type
+              with
+              | Some (`Mut kind) ->
+                  incr n_captured;
+                  let cid = id ^ "." ^ cname in
+                  prog.captured <- IdentMap.add cident cid prog.captured;
+                  mk ~captured_in:(Some id) ~id:cid ~line:(loc_line cvb.vb_loc)
+                    kind
+              | Some `Dls | Some `Sync | None -> ())
+          | None -> ())
+        captured;
+      if domain_local && !n_captured = 0 then dm3 ();
+      prog.fns <-
+        SMap.add id
+          {
+            d_id = id;
+            d_module = b.b_scope.s_module;
+            d_file = file;
+            d_line = line;
+            d_layer = b.b_layer;
+            d_body = vb.vb_expr;
+            d_locks = false;
+            d_calls = [];
+          }
+          prog.fns
+  | _ -> (
+      (* [let t = A.t]: an alias shares the target's identity, so it must
+         win over the mutable-type check; resolved during
+         classification. *)
+      let alias_target =
+        match vb.vb_expr.exp_desc with
+        | Typedtree.Texp_ident (Path.Pident pid, _, _) ->
+            let t = b.b_scope.s_module ^ "." ^ Ident.name pid in
+            if SMap.mem t prog.items then Some t else None
+        | Typedtree.Texp_ident (p, _, _) ->
+            let t = canon_of prog.core.aliases (Path.name p) in
+            if String.contains t '.' then Some t else None
+        | _ -> None
+      in
+      match alias_target with
+      | Some _ -> mk ~alias_of:alias_target ~id ~line "alias"
+      | None -> (
+          match
+            state_kind prog.core.aliases vb.vb_expr.exp_env 8
+              vb.vb_expr.exp_type
+          with
+          | Some `Dls -> mk ~dls:true ~id ~line "DLS.key"
+          | Some `Sync -> mk ~sync:true ~id ~line "sync primitive"
+          | Some (`Mut kind) -> mk ~id ~line kind
+          | None -> if domain_local then dm3 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Facts (pass 2): state uses, call edges, scheduled closures          *)
@@ -568,7 +442,7 @@ let resolve_item prog ~f (local : string IdentMap.t)
                   if SMap.mem qualified prog.items then Some qualified
                   else None))
       | _ ->
-          let c = Cdna_flow.canon_of prog.aliases (Path.name p) in
+          let c = canon_of prog.core.aliases (Path.name p) in
           if SMap.mem c prog.items then Some c else None)
   | _ -> None
 
@@ -580,16 +454,10 @@ let collect_facts prog (f : dfn) =
       { dc_callee = callee; dc_line = line; dc_sched = !sched_depth > 0 }
       :: !calls
   in
-  let add_use item what ~write line =
+  let add_use u_item u_what ~write:u_write u_line =
     uses :=
-      {
-        u_item = item;
-        u_fn = f.d_id;
-        u_what = what;
-        u_write = write;
-        u_line = line;
-        u_sched = !sched_depth > 0;
-      }
+      { u_item; u_fn = f.d_id; u_what; u_write; u_line;
+        u_sched = !sched_depth > 0 }
       :: !uses
   in
   (* Is [callee] an LP entry point for literal closure arguments? *)
@@ -601,16 +469,6 @@ let collect_facts prog (f : dfn) =
     | None -> false
   in
   let rec visit local (e : Typedtree.expression) =
-    (* Generic child traversal that keeps [local] in scope. *)
-    let default () =
-      let it =
-        {
-          Tast_iterator.default_iterator with
-          expr = (fun _ e' -> visit local e');
-        }
-      in
-      Tast_iterator.default_iterator.expr it e
-    in
     match e.Typedtree.exp_desc with
     | Typedtree.Texp_let (_, vbs, body) ->
         let local =
@@ -629,15 +487,9 @@ let collect_facts prog (f : dfn) =
         in
         visit local body
     | Typedtree.Texp_apply (fe, args) -> (
-        let callee =
-          match fe.Typedtree.exp_desc with
-          | Typedtree.Texp_ident (p, _, _) ->
-              Some (Cdna_flow.canon_of prog.aliases (Path.name p))
-          | _ -> None
-        in
-        match callee with
+        match ident_name prog.core fe with
         | Some c ->
-            let op = Cdna_flow.last_comp c in
+            let op = last_comp c in
             let line = loc_line e.exp_loc in
             add_call c line;
             let sched_arg = schedules_closures c in
@@ -648,21 +500,15 @@ let collect_facts prog (f : dfn) =
                 | Some a -> (
                     match resolve_item prog ~f local a with
                     | Some item ->
-                        if SSet.mem c write_fns || SSet.mem op write_fns then
-                          add_use item
-                            (Printf.sprintf "write (%s)" op)
-                            ~write:true line
-                        else if SSet.mem c read_fns || SSet.mem op read_fns
-                        then
-                          add_use item
-                            (Printf.sprintf "read (%s)" op)
-                            ~write:false line
+                        let listed set = SSet.mem c set || SSet.mem op set in
+                        if listed write_fns then
+                          add_use item ("write (" ^ op ^ ")") ~write:true line
+                        else if listed read_fns then
+                          add_use item ("read (" ^ op ^ ")") ~write:false line
                         else
                           (* Conservative: once the container escapes to
                              an arbitrary callee we must assume writes. *)
-                          add_use item
-                            (Printf.sprintf "escapes to %s" c)
-                            ~write:true line
+                          add_use item ("escapes to " ^ c) ~write:true line
                     | None -> (
                         match a.Typedtree.exp_desc with
                         | Typedtree.Texp_function _ when sched_arg ->
@@ -671,12 +517,7 @@ let collect_facts prog (f : dfn) =
                             decr sched_depth
                         | _ -> visit local a)))
               args
-        | None ->
-            visit local fe;
-            List.iter
-              (fun ((_, a) : _ * Typedtree.expression option) ->
-                match a with Some a -> visit local a | None -> ())
-              args)
+        | None -> iter_children (visit local) e)
     | Typedtree.Texp_setfield (e1, _, ld, e2) ->
         (match resolve_item prog ~f local e1 with
         | Some item ->
@@ -699,26 +540,23 @@ let collect_facts prog (f : dfn) =
             add_use item "referenced (escape)" ~write:true
               (loc_line e.exp_loc)
         | None -> ())
-    | _ -> default ()
+    | _ -> iter_children (visit local) e
   in
   visit IdentMap.empty f.d_body;
-  (* Intra-module [Pident] callees: qualify against this module. *)
-  let resolve c =
-    if SMap.mem c prog.fns then c
-    else
-      let qualified = f.d_module ^ "." ^ c in
-      if String.contains c '.' || not (SMap.mem qualified prog.fns) then c
-      else qualified
-  in
+  let mem c = SMap.mem c prog.fns in
   let calls =
-    List.rev_map (fun c -> { c with dc_callee = resolve c.dc_callee }) !calls
+    List.rev_map
+      (fun c ->
+        { c with dc_callee = qualify ~mem ~modname:f.d_module c.dc_callee })
+      !calls
   in
   f.d_calls <- calls;
   f.d_locks <-
-    List.exists (fun c -> SSet.mem c.dc_callee lock_fns) calls
-    || List.exists
-         (fun c -> SSet.mem (Cdna_flow.last_comp c.dc_callee) lock_fns)
-         calls;
+    List.exists
+      (fun c ->
+        SSet.mem c.dc_callee lock_fns
+        || SSet.mem (last_comp c.dc_callee) lock_fns)
+      calls;
   prog.uses <- !uses @ prog.uses
 
 (* ------------------------------------------------------------------ *)
@@ -743,13 +581,9 @@ let lp_reachability prog =
       if SSet.mem f.d_layer lp_layers then
         enqueue id
           [
-            {
-              hop_what =
-                Printf.sprintf "%s lives in LP-resident layer '%s'" id
-                  f.d_layer;
-              hop_file = f.d_file;
-              hop_line = f.d_line;
-            };
+            hop_at
+              (Printf.sprintf "%s lives in LP-resident layer '%s'" id f.d_layer)
+              f.d_file f.d_line;
           ])
     prog.fns;
   SMap.iter
@@ -761,15 +595,12 @@ let lp_reachability prog =
             | Some g ->
                 enqueue g.d_id
                   [
-                    {
-                      hop_what =
-                        Printf.sprintf
-                          "%s called from a closure scheduled onto the \
-                           engine in %s"
-                          g.d_id f.d_id;
-                      hop_file = f.d_file;
-                      hop_line = c.dc_line;
-                    };
+                    hop_at
+                      (Printf.sprintf
+                         "%s called from a closure scheduled onto the engine \
+                          in %s"
+                         g.d_id f.d_id)
+                      f.d_file c.dc_line;
                   ]
             | None -> ())
         f.d_calls)
@@ -787,12 +618,9 @@ let lp_reachability prog =
                 enqueue g.d_id
                   (chain
                   @ [
-                      {
-                        hop_what =
-                          Printf.sprintf "%s called from %s" g.d_id f.d_id;
-                        hop_file = f.d_file;
-                        hop_line = c.dc_line;
-                      };
+                      hop_at
+                        (Printf.sprintf "%s called from %s" g.d_id f.d_id)
+                        f.d_file c.dc_line;
                     ])
             | _ -> ())
           f.d_calls
@@ -814,12 +642,9 @@ let resolve_alias prog (it : item) =
             go (fuel - 1) root
               (hops
               @ [
-                  {
-                    hop_what =
-                      Printf.sprintf "aliased as %s = %s" it.i_id target;
-                    hop_file = it.i_file;
-                    hop_line = it.i_line;
-                  };
+                  hop_at
+                    (Printf.sprintf "aliased as %s = %s" it.i_id target)
+                    it.i_file it.i_line;
                 ])
         | None -> None)
     | Some _ -> None
@@ -827,54 +652,28 @@ let resolve_alias prog (it : item) =
   in
   go 5 it []
 
-let analyze root =
-  if not (Sys.file_exists root) then
-    raise (Dom_error ("no such cmt root: " ^ root));
+let analyze (core : Program.t) =
   let prog =
     {
+      core;
       fns = SMap.empty;
       items = SMap.empty;
-      aliases = SMap.empty;
       uses = [];
       extra_viols = [];
-      n_files = 0;
       n_domain_local = 0;
       n_domain_shared = 0;
       captured = IdentMap.empty;
     }
   in
-  let cmts = Cdna_flow.collect_cmts [] root |> List.sort String.compare in
-  (* Envs stored in cmt files are summaries; rehydrating them (for the
-     mutable-record check in [state_kind]) loads .cmi files, so the load
-     path must cover the cmt dirs and the stdlib. *)
-  let cmt_dirs =
-    List.sort_uniq String.compare (List.map Filename.dirname cmts)
+  let scope_suppress =
+    List.map (fun s -> (s, register_scope prog s)) core.scopes
   in
-  Load_path.init ~auto_include:Load_path.no_auto_include
-    (cmt_dirs @ [ Config.standard_library ]);
   List.iter
-    (fun path ->
-      match Cmt_format.read_cmt path with
-      | exception _ -> ()
-      | cmt -> (
-          match (cmt.cmt_annots, cmt.cmt_sourcefile) with
-          | Cmt_format.Implementation str, Some src
-            when not (Filename.check_suffix src ".ml-gen") ->
-              prog.n_files <- prog.n_files + 1;
-              let modname = Cdna_flow.strip_wrap cmt.cmt_modname in
-              let layer = layer_of_file src in
-              collect_module prog ~modname ~file:src ~layer str
-          | Cmt_format.Implementation str, Some _ ->
-              (* dune alias modules: harvest [module X = Lib__X] only. *)
-              List.iter
-                (fun (item : Typedtree.structure_item) ->
-                  match item.str_desc with
-                  | Typedtree.Tstr_module mb ->
-                      collect_module_binding prog ~file:"" ~layer:"" mb
-                  | _ -> ())
-                str.str_items
-          | _ -> ()))
-    cmts;
+    (fun (b : binding) ->
+      register_binding prog
+        ~mod_suppress:(List.assq b.b_scope scope_suppress)
+        b)
+    core.bindings;
   let fns_sorted = SMap.bindings prog.fns |> List.map snd in
   List.iter (collect_facts prog) fns_sorted;
   let lp_chains = lp_reachability prog in
@@ -940,32 +739,23 @@ let analyze root =
                   | Some chain -> chain
                   | None ->
                       [
-                        {
-                          hop_what =
-                            Printf.sprintf
-                              "use sits in a closure %s schedules onto the \
-                               engine"
-                              u.u_fn;
-                          hop_file = use_file;
-                          hop_line = u.u_line;
-                        };
+                        hop_at
+                          (Printf.sprintf
+                             "use sits in a closure %s schedules onto the \
+                              engine"
+                             u.u_fn)
+                          use_file u.u_line;
                       ]
                 in
                 let decl =
-                  {
-                    hop_what =
-                      Printf.sprintf "%s '%s' defined at module level"
-                        it.i_kind it.i_id;
-                    hop_file = it.i_file;
-                    hop_line = it.i_line;
-                  }
+                  hop_at
+                    (Printf.sprintf "%s '%s' defined at module level" it.i_kind
+                       it.i_id)
+                    it.i_file it.i_line
                 in
                 let use_hop =
-                  {
-                    hop_what = Printf.sprintf "%s in %s" u.u_what u.u_fn;
-                    hop_file = use_file;
-                    hop_line = u.u_line;
-                  }
+                  hop_at (Printf.sprintf "%s in %s" u.u_what u.u_fn) use_file
+                    u.u_line
                 in
                 let rule =
                   if it.i_captured_in <> None then rule_dm2 else rule_dm1
@@ -1000,28 +790,18 @@ let analyze root =
         end
       end)
     roots;
-  let suppressed, violations =
-    List.partition (fun v -> v.suppress <> None) !viols
-  in
+  let violations, suppressed = finalize !viols in
   (* Items carrying a non-empty [@cdna.domain_shared] that classified
      Shared are accounted as suppressed above; one with an empty reason
      already produced its DS1. *)
-  let class_counts =
-    List.fold_left
-      (fun acc (it : item) ->
-        let k = cls_name it.i_class in
-        let n = try List.assoc k acc with Not_found -> 0 in
-        (k, n + 1) :: List.remove_assoc k acc)
-      [] roots
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  let class_counts = count_by (fun it -> cls_name it.i_class) roots in
   {
-    cmt_files = prog.n_files;
+    cmt_files = core.files;
     functions = SMap.cardinal prog.fns;
     state_items = List.length roots;
     classes = class_counts;
-    violations = List.sort_uniq violation_compare violations;
-    suppressed = List.sort_uniq violation_compare suppressed;
+    violations;
+    suppressed;
     domain_local = prog.n_domain_local;
     domain_shared = prog.n_domain_shared;
   }
@@ -1036,11 +816,9 @@ let report_to_json r =
       ("cmt_files", Sim.Json.Int r.cmt_files);
       ("functions", Sim.Json.Int r.functions);
       ("state_items", Sim.Json.Int r.state_items);
-      ( "classes",
-        Sim.Json.Obj (List.map (fun (k, n) -> (k, Sim.Json.Int n)) r.classes)
-      );
+      ("classes", counts_json r.classes);
       ("violations", Sim.Json.Int (List.length r.violations));
-      ("rules", Chain.rule_counts_json r.violations);
+      ("rules", rule_counts_json r.violations);
       ("suppressions", Sim.Json.Int (List.length r.suppressed));
       ("domain_local", Sim.Json.Int r.domain_local);
       ("domain_shared", Sim.Json.Int r.domain_shared);

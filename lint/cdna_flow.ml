@@ -2,8 +2,7 @@
    over compiled [.cmt] typedtrees (compiler-libs).
 
    Complements the purely syntactic [cdna_lint] (parsetree) with three
-   whole-program analyses sharing one call graph built across every
-   module handed to [analyze]:
+   whole-program analyses over the corpus [Program.load] reads once:
 
    - (T1/T2) guest-taint: values originating from guest-readable memory
      ([Phys_mem.read_*], descriptor reads via [Desc_layout.read],
@@ -43,25 +42,8 @@
    local closure analyzed at its binding site assumes clean parameters.
    Both limits are one-sided: they can miss flows, never invent them. *)
 
-module SSet = Chain.SSet
-module SMap = Chain.SMap
-module ISet = Chain.ISet
-module IdentMap = Chain.IdentMap
-
-(* ------------------------------------------------------------------ *)
-(* Diagnostics (shared shapes re-exported from [Chain])                *)
-(* ------------------------------------------------------------------ *)
-
-type hop = Chain.hop = { hop_what : string; hop_file : string; hop_line : int }
-
-type violation = Chain.violation = {
-  rule : string;
-  file : string;
-  line : int;
-  msg : string;
-  chain : hop list; (* source -> ... -> sink, oldest first *)
-  suppress : string option; (* [Some reason] when [@cdna.flow_ok] *)
-}
+open Program
+include Program.Diag
 
 type report = {
   cmt_files : int;
@@ -69,15 +51,13 @@ type report = {
   violations : violation list; (* unsuppressed, sorted *)
   suppressed : violation list;
   sanitizer_fns : int;
+  rounds : int; (* summary fixpoint rounds *)
 }
 
 let rule_t1 = "T1-guest-taint"
 let rule_t2 = "T2-desc-construct"
 let rule_a6 = "A6-transitive-alloc"
 let rule_p3 = "P3-priv-reachability"
-
-let violation_compare = Chain.violation_compare
-let violation_to_string = Chain.violation_to_string
 
 (* ------------------------------------------------------------------ *)
 (* Source / sink / sanitizer contract                                  *)
@@ -130,15 +110,6 @@ let contract_modules =
       "Addr"; "Dma_desc"; "Seqno";
     ]
 
-(* P3: ownership / IOMMU-permission mutation (mirrors cdna_lint's P1). *)
-let ownership_fns =
-  SSet.of_list
-    [
-      "Phys_mem.alloc"; "Phys_mem.free"; "Phys_mem.transfer";
-      "Phys_mem.get_ref"; "Phys_mem.put_ref"; "Iommu.grant"; "Iommu.revoke";
-      "Iommu.revoke_context";
-    ]
-
 (* Higher-order stdlib combinators: a literal lambda argument has its
    parameters bound to the joined taint of the other (collection)
    arguments, so element flows survive [List.iter (fun e -> ...) xs]. *)
@@ -173,36 +144,11 @@ let cold_exits =
       "Stdlib.assert"; "Printf.sprintf"; "Format.asprintf";
     ]
 
-let alloc_operators = SSet.of_list [ "^"; "@"; "^^" ]
+let contract (f : fn) = SSet.mem f.f_module contract_modules
 
 (* ------------------------------------------------------------------ *)
-(* Name canonicalization                                               *)
+(* Taint lattice                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let strip_wrap = Chain.strip_wrap
-let split_on_dot = Chain.split_on_dot
-let expand_alias = Chain.expand_alias
-let canon_of = Chain.canon_of
-let last_comp = Chain.last_comp
-
-(* ------------------------------------------------------------------ *)
-(* Attribute helpers (compiler-libs Parsetree)                         *)
-(* ------------------------------------------------------------------ *)
-
-let attr_name = Chain.attr_name
-let attr_reason = Chain.attr_reason
-let find_attr = Chain.find_attr
-let has_attr = Chain.has_attr
-
-(* ------------------------------------------------------------------ *)
-(* Program representation                                              *)
-(* ------------------------------------------------------------------ *)
-
-type call = {
-  c_callee : string; (* canonical *)
-  c_line : int;
-  c_susp : bool; (* under [@cdna.alloc_ok] / [@cdna.flow_ok] *)
-}
 
 type origin = {
   o_src : string;
@@ -219,30 +165,6 @@ type flow = { fl_param : int; fl_sink : string; fl_hops : hop list }
 
 type summary = { s_ret : taint; s_flows : flow list }
 
-type fn = {
-  f_id : string; (* canonical "Mod.name" *)
-  f_module : string;
-  f_file : string;
-  f_line : int;
-  f_params : (string option * Typedtree.pattern) list;
-  f_body : Typedtree.expression;
-  f_hot : bool;
-  f_sanitizer : bool;
-  f_source : bool;
-  f_privileged : bool;
-  f_layer : string;
-  f_contract : bool;
-  mutable f_calls : call list;
-  mutable f_allocs : (string * int) list; (* description, line *)
-  mutable f_summary : summary;
-}
-
-let empty_summary = { s_ret = Clean; s_flows = [] }
-
-(* ------------------------------------------------------------------ *)
-(* Taint lattice                                                       *)
-(* ------------------------------------------------------------------ *)
-
 let norm = function T (None, s) when ISet.is_empty s -> Clean | t -> t
 
 let rec collapse = function
@@ -250,6 +172,8 @@ let rec collapse = function
   | Fn _ -> Clean
   | t -> t
 
+(* The first origin wins: its hop chain is the witness, not part of the
+   abstract value. *)
 and join a b =
   match (norm a, norm b) with
   | Clean, x | x, Clean -> x
@@ -266,166 +190,62 @@ let proj t lbl =
   | Fields m -> ( match SMap.find_opt lbl m with Some x -> x | None -> Clean)
   | t -> collapse t
 
-(* Canonical image for fixpoint comparison (Set internals are not
-   structurally stable across construction orders). *)
-let rec taint_image = function
-  | Clean -> "c"
-  | Fn (n, t) -> "f(" ^ n ^ "," ^ taint_image t ^ ")"
-  | T (o, ps) ->
-      Printf.sprintf "t(%s;%s)"
-        (match o with
-        | None -> "-"
-        | Some o ->
-            o.o_src ^ ":"
-            ^ String.concat ","
-                (List.map
-                   (fun h ->
-                     Printf.sprintf "%s@%s:%d" h.hop_what h.hop_file h.hop_line)
-                   o.o_hops))
-        (String.concat "," (List.map string_of_int (ISet.elements ps)))
-  | Fields m ->
-      "{"
-      ^ String.concat ";"
-          (List.map
-             (fun (k, v) -> k ^ "=" ^ taint_image v)
-             (SMap.bindings m))
-      ^ "}"
+(* Summaries as a [Program.LATTICE]: the return taint plus one flow per
+   (parameter, sink) key. [equal] looks through origins and flows to
+   their keys only, ignoring hop chains. *)
+module Summary = struct
+  type t = summary
 
-let flow_image f =
-  Printf.sprintf "%d>%s:%s" f.fl_param f.fl_sink
-    (String.concat ","
-       (List.map
-          (fun h -> Printf.sprintf "%s@%s:%d" h.hop_what h.hop_file h.hop_line)
-          f.fl_hops))
+  let bottom = { s_ret = Clean; s_flows = [] }
+  let same_key a b = a.fl_param = b.fl_param && a.fl_sink = b.fl_sink
 
-let summary_image s =
-  taint_image s.s_ret ^ "|"
-  ^ String.concat "|" (List.sort String.compare (List.map flow_image s.s_flows))
+  let join a b =
+    {
+      s_ret = join a.s_ret b.s_ret;
+      s_flows =
+        a.s_flows
+        @ List.filter
+            (fun fl -> not (List.exists (same_key fl) a.s_flows))
+            b.s_flows;
+    }
 
-(* ------------------------------------------------------------------ *)
-(* Location helpers                                                    *)
-(* ------------------------------------------------------------------ *)
+  (* Set internals are not structurally stable across construction
+     orders, hence a canonical rendering. *)
+  let rec shape = function
+    | Clean -> "c"
+    | Fn (n, t) -> "f(" ^ n ^ "," ^ shape t ^ ")"
+    | T (o, ps) ->
+        Printf.sprintf "t(%s;%s)"
+          (match o with None -> "-" | Some o -> o.o_src)
+          (String.concat "," (List.map string_of_int (ISet.elements ps)))
+    | Fields m ->
+        "{"
+        ^ String.concat ";"
+            (List.map (fun (k, v) -> k ^ "=" ^ shape v) (SMap.bindings m))
+        ^ "}"
 
-let loc_file = Chain.loc_file
-let loc_line = Chain.loc_line
-let path_has_dir = Chain.path_has_dir
-let layer_of_file = Chain.layer_of_file
+  let keys s =
+    List.sort compare (List.map (fun fl -> (fl.fl_param, fl.fl_sink)) s.s_flows)
+
+  let equal a b = shape a.s_ret = shape b.s_ret && keys a = keys b
+end
+
+module Solver = Fixpoint.Make (Summary)
 
 (* ------------------------------------------------------------------ *)
-(* Collection (pass 1): functions, aliases, module attributes          *)
+(* Facts: call edges and allocation sites, for all functions           *)
 (* ------------------------------------------------------------------ *)
 
-type program = {
-  mutable fns : fn SMap.t;
-  mutable aliases : string SMap.t;
-  mutable n_files : int;
-  mutable sanitizer_count : int;
+type call = {
+  c_callee : string; (* canonical, intra-module names qualified *)
+  c_line : int;
+  c_susp : bool; (* under [@cdna.alloc_ok] / [@cdna.flow_ok] *)
 }
 
-let rec peel_params (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_function
-      { arg_label; cases = [ { c_lhs; c_guard = None; c_rhs } ]; _ } ->
-      let lbl =
-        match arg_label with
-        | Asttypes.Nolabel -> None
-        | Asttypes.Labelled s | Asttypes.Optional s -> Some s
-      in
-      let params, body = peel_params c_rhs in
-      ((lbl, c_lhs) :: params, body)
-  | _ -> ([], e)
-
-let register_fn prog ~modname ~file ~layer ~privileged ~contract
-    (vb : Typedtree.value_binding) =
-  match vb.vb_pat.pat_desc with
-  | Typedtree.Tpat_var (_, { txt = name; _ }) -> (
-      match vb.vb_expr.exp_desc with
-      | Typedtree.Texp_function _ ->
-          let params, body = peel_params vb.vb_expr in
-          let sanitizer = has_attr "cdna.sanitizer" vb.vb_attributes in
-          if sanitizer then prog.sanitizer_count <- prog.sanitizer_count + 1;
-          let f =
-            {
-              f_id = modname ^ "." ^ name;
-              f_module = modname;
-              f_file = file;
-              f_line = loc_line vb.vb_loc;
-              f_params = params;
-              f_body = body;
-              f_hot = has_attr "cdna.hot" vb.vb_attributes;
-              f_sanitizer = sanitizer;
-              f_source = has_attr "cdna.source" vb.vb_attributes;
-              f_privileged = privileged;
-              f_layer = layer;
-              f_contract = contract;
-              f_calls = [];
-              f_allocs = [];
-              f_summary = empty_summary;
-            }
-          in
-          prog.fns <- SMap.add f.f_id f prog.fns
-      | _ -> ())
-  | _ -> ()
-
-let rec collect_module prog ~modname ~file ~layer ~privileged
-    (str : Typedtree.structure) =
-  (* Module-level attributes may refine the layer / privilege level. *)
-  let layer = ref layer and privileged = ref privileged in
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_attribute a -> (
-          if attr_name a = "cdna.privileged" then privileged := true;
-          if attr_name a = "cdna.layer" then
-            match attr_reason a with Some l -> layer := l | None -> ())
-      | _ -> ())
-    str.str_items;
-  let contract = SSet.mem modname contract_modules in
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter
-            (register_fn prog ~modname ~file ~layer:!layer
-               ~privileged:!privileged ~contract)
-            vbs
-      | Typedtree.Tstr_module mb -> collect_module_binding prog ~file
-            ~layer:!layer ~privileged:!privileged mb
-      | Typedtree.Tstr_recmodule mbs ->
-          List.iter
-            (collect_module_binding prog ~file ~layer:!layer
-               ~privileged:!privileged)
-            mbs
-      | _ -> ())
-    str.str_items
-
-and collect_module_binding prog ~file ~layer ~privileged
-    (mb : Typedtree.module_binding) =
-  let name =
-    match mb.mb_id with
-    | Some id -> Ident.name id
-    | None -> ( match mb.mb_name.txt with Some n -> n | None -> "_")
-  in
-  let rec of_mexpr (me : Typedtree.module_expr) =
-    match Chain.module_alias_target me with
-    | Some target -> prog.aliases <- SMap.add name target prog.aliases
-    | None -> (
-        match me.mod_desc with
-        | Typedtree.Tmod_structure s ->
-            collect_module prog ~modname:name ~file ~layer ~privileged s
-        | Typedtree.Tmod_constraint (m, _, _, _) -> of_mexpr m
-        | _ -> ())
-  in
-  of_mexpr mb.mb_expr
-
-(* ------------------------------------------------------------------ *)
-(* Facts (pass 2): call edges and allocation sites, for all modules    *)
-(* ------------------------------------------------------------------ *)
-
-let callee_of prog (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) -> Some (canon_of prog.aliases (Path.name p))
-  | _ -> None
+type facts = {
+  calls : call list;
+  allocs : (string * int) list; (* what, line *)
+}
 
 let collect_facts prog (f : fn) =
   let calls = ref [] and allocs = ref [] in
@@ -445,14 +265,14 @@ let collect_facts prog (f : fn) =
     if suspends then incr susp;
     (match e.exp_desc with
     | Typedtree.Texp_apply (fe, args) -> (
-        match callee_of prog fe with
+        match ident_name prog fe with
         | Some c when SSet.mem c cold_exits || SSet.mem (last_comp c) cold_exits
           ->
             (* Error-path arguments may allocate; leave the subtree. *)
             ()
         | Some c ->
             add_call c (loc_line e.exp_loc);
-            if SSet.mem (last_comp c) alloc_operators then
+            if SSet.mem (last_comp c) Cdna_lint.alloc_operators then
               add_alloc ("operator " ^ last_comp c) (loc_line e.exp_loc);
             List.iter
               (fun (_, a) -> match a with Some a -> visit it a | None -> ())
@@ -462,9 +282,10 @@ let collect_facts prog (f : fn) =
             List.iter
               (fun (_, a) -> match a with Some a -> visit it a | None -> ())
               args)
-    | Typedtree.Texp_ident (p, _, _) ->
-        let c = canon_of prog.aliases (Path.name p) in
-        if SMap.mem c prog.fns then add_call c (loc_line e.exp_loc)
+    | Typedtree.Texp_ident _ -> (
+        match ident_name prog e with
+        | Some c when SMap.mem c prog.fns -> add_call c (loc_line e.exp_loc)
+        | _ -> ())
     | _ ->
         (match e.exp_desc with
         | Typedtree.Texp_record _ -> add_alloc "record" (loc_line e.exp_loc)
@@ -481,60 +302,60 @@ let collect_facts prog (f : fn) =
   in
   let it = { Tast_iterator.default_iterator with expr = visit } in
   it.expr it f.f_body;
-  (* Intra-module references are [Pident]s; resolve them to this module's
-     functions so same-file call chains link up. *)
-  let resolve c =
-    if SMap.mem c prog.fns then c
-    else
-      let local = f.f_module ^ "." ^ c in
-      if String.contains c '.' || not (SMap.mem local prog.fns) then c
-      else local
-  in
-  f.f_calls <-
-    List.rev_map (fun c -> { c with c_callee = resolve c.c_callee }) !calls;
-  f.f_allocs <- List.rev !allocs
+  let mem c = SMap.mem c prog.fns in
+  {
+    calls =
+      List.rev_map
+        (fun c ->
+          { c with c_callee = qualify ~mem ~modname:f.f_module c.c_callee })
+        !calls;
+    allocs = List.rev !allocs;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Taint evaluation (passes 3-4)                                       *)
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
-  prog : program;
+  prog : Program.t;
   cur : fn;
+  summary : string -> summary; (* callee summaries, by id *)
   report : bool;
   viols : violation list ref;
   flows : flow list ref;
 }
 
-let hop = Chain.hop
+let fn_of_name ctx name = find_fn ctx.prog ~modname:ctx.cur.f_module name
 
-let fn_of_name ctx name =
-  match SMap.find_opt name ctx.prog.fns with
-  | Some f -> Some f
-  | None ->
-      if String.contains name '.' then None
-      else SMap.find_opt (ctx.cur.f_module ^ "." ^ name) ctx.prog.fns
+let declared_by ctx set attr name =
+  SSet.mem name set
+  ||
+  match fn_of_name ctx name with
+  | Some f -> has_attr attr f.f_attrs
+  | None -> false
 
-let is_source ctx name =
-  SSet.mem name declared_sources
-  || match fn_of_name ctx name with Some f -> f.f_source | None -> false
+let is_source ctx = declared_by ctx declared_sources "cdna.source"
+let is_sanitizer ctx = declared_by ctx declared_sanitizers "cdna.sanitizer"
 
-let is_sanitizer ctx name =
-  SSet.mem name declared_sanitizers
-  || match fn_of_name ctx name with Some f -> f.f_sanitizer | None -> false
+(* Each of the current function's parameters [ps] reaches [sink]. *)
+let add_flows ctx ps sink hops =
+  ISet.iter
+    (fun i ->
+      ctx.flows :=
+        { fl_param = i; fl_sink = sink; fl_hops = hops } :: !(ctx.flows))
+    ps
 
 let record_violation ctx ~sup ~rule ~loc ~msg ~chain =
-  let v =
-    {
-      rule;
-      file = loc_file loc;
-      line = loc_line loc;
-      msg;
-      chain;
-      suppress = sup;
-    }
-  in
-  ctx.viols := v :: !(ctx.viols)
+  ctx.viols :=
+    { rule; file = loc_file loc; line = loc_line loc; msg; chain;
+      suppress = sup }
+    :: !(ctx.viols)
+
+(* [@cdna.flow_ok "why"] suppresses flow violations on a subtree. *)
+let flow_ok attrs ~default =
+  match find_attr "cdna.flow_ok" attrs with
+  | Some a -> Some (Option.value (attr_reason a) ~default:"")
+  | None -> default
 
 (* The root variable of an access path ([desc], [e] in [e.Xchan.pfn]),
    used to cleanse bindings when a sanitizer inspects them. *)
@@ -544,35 +365,16 @@ let rec root_ident (e : Typedtree.expression) =
   | Typedtree.Texp_field (e, _, _) -> root_ident e
   | _ -> None
 
-let rec bind_pat : type k. taint IdentMap.t -> k Typedtree.general_pattern
-    -> taint -> taint IdentMap.t =
+let bind_pat : type k.
+    taint IdentMap.t -> k Typedtree.general_pattern -> taint -> taint IdentMap.t
+    =
  fun env p t ->
-  match p.pat_desc with
-  | Typedtree.Tpat_var (id, _) -> IdentMap.add id t env
-  | Typedtree.Tpat_alias (p', id, _) -> bind_pat (IdentMap.add id t env) p' t
-  | Typedtree.Tpat_tuple ps ->
-      List.fold_left
-        (fun env (i, p') -> bind_pat env p' (proj t (string_of_int i)))
-        env
-        (List.mapi (fun i p' -> (i, p')) ps)
-  | Typedtree.Tpat_record (fields, _) ->
-      List.fold_left
-        (fun env (_, (ld : Types.label_description), p') ->
-          bind_pat env p' (proj t ld.lbl_name))
-        env
-        (List.map (fun (a, b, c) -> (a, b, c)) fields)
-  | Typedtree.Tpat_construct (_, _, ps, _) ->
-      List.fold_left (fun env p' -> bind_pat env p' (collapse t)) env ps
-  | Typedtree.Tpat_variant (_, Some p', _) -> bind_pat env p' (collapse t)
-  | Typedtree.Tpat_variant (_, None, _) -> env
-  | Typedtree.Tpat_array ps ->
-      List.fold_left (fun env p' -> bind_pat env p' (collapse t)) env ps
-  | Typedtree.Tpat_lazy p' -> bind_pat env p' t
-  | Typedtree.Tpat_or (a, b, _) -> bind_pat (bind_pat env a t) b t
-  | Typedtree.Tpat_value arg ->
-      bind_pat env (arg :> Typedtree.value Typedtree.general_pattern) t
-  | Typedtree.Tpat_exception p' -> bind_pat env p' Clean
-  | Typedtree.Tpat_any | Typedtree.Tpat_constant _ -> env
+  Program.bind_pat env p t ~part:(fun at t ->
+      match at with
+      | Elem i -> proj t (string_of_int i)
+      | Field l -> proj t l
+      | Payload | Cell -> collapse t
+      | Exn -> Clean)
 
 let env_join a b = IdentMap.union (fun _ x y -> Some (join x y)) a b
 
@@ -587,7 +389,7 @@ let extend_origin o ~callee ~caller loc =
   }
 
 let sens_args args specs =
-  (* [args]: (label string option, taint, expr option) in call order. *)
+  (* [args]: (label string option, taint, expr) in call order. *)
   let pos = ref (-1) in
   List.filter_map
     (fun (lbl, t, e) ->
@@ -604,26 +406,18 @@ let sens_args args specs =
 
 let dma_desc_record (e : Typedtree.expression) =
   match Types.get_desc e.exp_type with
-  | Types.Tconstr (p, _, _) ->
-      let n = Path.name p in
-      let n = canon_of SMap.empty n in
-      n = "Dma_desc.t"
+  | Types.Tconstr (p, _, _) -> canon_of SMap.empty (Path.name p) = "Dma_desc.t"
   | _ -> false
 
 let rec eval ctx ~(sup : string option) env (e : Typedtree.expression) :
     taint * taint IdentMap.t =
-  let sup =
-    match find_attr "cdna.flow_ok" e.exp_attributes with
-    | Some a -> Some (match attr_reason a with Some r -> r | None -> "")
-    | None -> sup
-  in
+  let sup = flow_ok e.exp_attributes ~default:sup in
   match e.exp_desc with
   | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
       match IdentMap.find_opt id env with
       | Some t -> (t, env)
       | None -> (
-          let name = Ident.name id in
-          match fn_of_name ctx name with
+          match fn_of_name ctx (Ident.name id) with
           | Some f -> (Fn (f.f_id, Clean), env)
           | None -> (Clean, env)))
   | Typedtree.Texp_ident (p, _, _) ->
@@ -661,15 +455,12 @@ let rec eval ctx ~(sup : string option) env (e : Typedtree.expression) :
              (List.to_seq
                 (List.mapi (fun i t -> (string_of_int i, t)) fields))),
         env )
-  | Typedtree.Texp_construct (_, _, es) ->
-      let env, t =
-        List.fold_left
-          (fun (env, acc) e' ->
-            let t, env = eval ctx ~sup env e' in
-            (env, join acc (collapse t)))
-          (env, Clean) es
-      in
-      (t, env)
+  | Typedtree.Texp_construct (_, _, es) | Typedtree.Texp_array es ->
+      List.fold_left
+        (fun (acc, env) e' ->
+          let t, env = eval ctx ~sup env e' in
+          (join acc (collapse t), env))
+        (Clean, env) es
   | Typedtree.Texp_variant (_, Some e') ->
       let t, env = eval ctx ~sup env e' in
       (collapse t, env)
@@ -722,15 +513,6 @@ let rec eval ctx ~(sup : string option) env (e : Typedtree.expression) :
       let _, env = eval ctx ~sup env e1 in
       let _, env = eval ctx ~sup env e2 in
       (Clean, env)
-  | Typedtree.Texp_array es ->
-      let env, t =
-        List.fold_left
-          (fun (env, acc) e' ->
-            let t, env = eval ctx ~sup env e' in
-            (env, join acc (collapse t)))
-          (env, Clean) es
-      in
-      (t, env)
   | Typedtree.Texp_ifthenelse (c, th, el) ->
       let _, env = eval ctx ~sup env c in
       let t1, env1 = eval ctx ~sup env th in
@@ -761,13 +543,7 @@ let rec eval ctx ~(sup : string option) env (e : Typedtree.expression) :
   | _ ->
       (* Constructs without a dedicated rule: evaluate children in the
          ambient environment; the result is unknown, hence clean. *)
-      let it =
-        {
-          Tast_iterator.default_iterator with
-          expr = (fun _ sub -> ignore (eval ctx ~sup env sub));
-        }
-      in
-      Tast_iterator.default_iterator.expr it e;
+      iter_children (fun sub -> ignore (eval ctx ~sup env sub)) e;
       (Clean, env)
 
 and eval_cases : type k. ctx -> sup:string option -> taint IdentMap.t -> taint
@@ -803,11 +579,7 @@ and eval_closure ctx ~sup env (e : Typedtree.expression) param_t =
       t
 
 and bind_vb ctx ~sup ~rf env (vb : Typedtree.value_binding) =
-  let sup =
-    match find_attr "cdna.flow_ok" vb.vb_attributes with
-    | Some a -> Some (match attr_reason a with Some r -> r | None -> "")
-    | None -> sup
-  in
+  let sup = flow_ok vb.vb_attributes ~default:sup in
   match vb.vb_expr.exp_desc with
   | Typedtree.Texp_function _ -> (
       (* Local function: analyze once at the binding site. Captured
@@ -844,24 +616,20 @@ and eval_apply ctx ~sup env (e : Typedtree.expression) fe args =
         let _, _ = eval ctx ~sup env fe in
         (None, None)
   in
-  let is_lambda (e' : Typedtree.expression) =
-    match e'.Typedtree.exp_desc with Typedtree.Texp_function _ -> true | _ -> false
+  let hofish =
+    match callee_name with Some n -> SSet.mem n hof_fns | None -> false
   in
-  let name = match callee_name with Some n -> n | None -> "" in
-  let hofish = SSet.mem name hof_fns in
   (* Evaluate non-lambda arguments first; literal lambdas are deferred so
      HOFs can bind their parameters to the element taint. *)
   let env = ref env in
   let evald =
     List.map
-      (fun ((lbl : Asttypes.arg_label), a) ->
-        let lbl_s =
-          match lbl with
-          | Asttypes.Nolabel -> None
-          | Asttypes.Labelled s | Asttypes.Optional s -> Some s
-        in
+      (fun (lbl, a) ->
+        let lbl_s = label_name lbl in
         match a with
-        | Some a when hofish && is_lambda a -> (lbl_s, None, Some a)
+        | Some ({ Typedtree.exp_desc = Texp_function _; _ } as a) when hofish
+          ->
+            (lbl_s, None, Some a)
         | Some a ->
             let t, env' = eval ctx ~sup !env a in
             env := env';
@@ -869,28 +637,22 @@ and eval_apply ctx ~sup env (e : Typedtree.expression) fe args =
         | None -> (lbl_s, None, None))
       args
   in
-  let elem_taint =
-    List.fold_left
-      (fun acc (_, ta, _) ->
-        match ta with Some (t, _) -> join acc (collapse t) | None -> acc)
-      Clean evald
-  in
-  (* Now analyze deferred lambdas with parameters bound to the element
-     taint of the traversed collection. *)
-  List.iter
-    (fun (_, _, lam) ->
-      match lam with
-      | Some l -> ignore (eval_closure ctx ~sup !env l elem_taint)
-      | None -> ())
-    evald;
   let arg_taints =
     List.filter_map
-      (fun (lbl, ta, _) -> match ta with Some (t, a) -> Some (lbl, t, Some a) | None -> None)
+      (fun (lbl, ta, _) -> Option.map (fun (t, a) -> (lbl, t, a)) ta)
       evald
   in
   let joined_args =
     List.fold_left (fun acc (_, t, _) -> join acc (collapse t)) Clean arg_taints
   in
+  (* Now analyze deferred lambdas with parameters bound to the element
+     taint of the traversed collection: the joined argument taint. *)
+  List.iter
+    (fun (_, _, lam) ->
+      Option.iter
+        (fun l -> ignore (eval_closure ctx ~sup !env l joined_args))
+        lam)
+    evald;
   match callee_name with
   | Some c when is_sanitizer ctx c ->
       (* Sanitizer application cleanses the inspected bindings for the
@@ -898,11 +660,8 @@ and eval_apply ctx ~sup env (e : Typedtree.expression) fe args =
       let env' =
         List.fold_left
           (fun env (_, _, a) ->
-            match a with
-            | Some a -> (
-                match root_ident a with
-                | Some id -> IdentMap.add id Clean env
-                | None -> env)
+            match root_ident a with
+            | Some id -> IdentMap.add id Clean env
             | None -> env)
           !env arg_taints
       in
@@ -933,23 +692,13 @@ and eval_apply ctx ~sup env (e : Typedtree.expression) fe args =
                       without sanitization"
                      o.o_src c what)
                 ~chain:(o.o_hops @ [ hop (Printf.sprintf "sink %s %s" c what) loc ])
-          | T (_, ps) when not (ISet.is_empty ps) ->
-              ISet.iter
-                (fun i ->
-                  ctx.flows :=
-                    {
-                      fl_param = i;
-                      fl_sink = c;
-                      fl_hops = [ hop (Printf.sprintf "sink %s" c) loc ];
-                    }
-                    :: !(ctx.flows))
-                ps
+          | T (_, ps) -> add_flows ctx ps c [ hop ("sink " ^ c) loc ]
           | _ -> ())
         (sens_args arg_taints specs);
       (Clean, !env)
   | Some c -> (
       match fn_of_name ctx c with
-      | Some callee when not callee.f_contract ->
+      | Some callee when not (contract callee) ->
           (* Apply the callee's summary. *)
           let assigned = assign_params callee arg_taints in
           let call_hop =
@@ -961,34 +710,25 @@ and eval_apply ctx ~sup env (e : Typedtree.expression) fe args =
               match List.assoc_opt fl.fl_param assigned with
               | Some t -> (
                   match collapse t with
-                  | T (Some o, _) when ctx.report ->
-                      record_violation ctx ~sup ~rule:rule_t1 ~loc
-                        ~msg:
-                          (Printf.sprintf
-                             "guest-tainted value (source %s) reaches DMA \
-                              sink %s via %s without sanitization"
-                             o.o_src fl.fl_sink callee.f_id)
-                        ~chain:(o.o_hops @ (call_hop :: fl.fl_hops))
-                  | _ -> ());
-                  (match collapse t with
-                  | T (_, ps) ->
-                      ISet.iter
-                        (fun i ->
-                          ctx.flows :=
-                            {
-                              fl_param = i;
-                              fl_sink = fl.fl_sink;
-                              fl_hops = call_hop :: fl.fl_hops;
-                            }
-                            :: !(ctx.flows))
-                        ps
+                  | T (o, ps) ->
+                      (match o with
+                      | Some o when ctx.report ->
+                          record_violation ctx ~sup ~rule:rule_t1 ~loc
+                            ~msg:
+                              (Printf.sprintf
+                                 "guest-tainted value (source %s) reaches DMA \
+                                  sink %s via %s without sanitization"
+                                 o.o_src fl.fl_sink callee.f_id)
+                            ~chain:(o.o_hops @ (call_hop :: fl.fl_hops))
+                      | _ -> ());
+                      add_flows ctx ps fl.fl_sink (call_hop :: fl.fl_hops)
                   | _ -> ())
               | None -> ())
-            callee.f_summary.s_flows;
+            (ctx.summary callee.f_id).s_flows;
           (* Instantiate the return taint. *)
-          let ret = instantiate callee.f_summary.s_ret assigned ~callee:callee.f_id
-              ~caller:ctx.cur.f_id loc in
-          (ret, !env)
+          ( instantiate (ctx.summary callee.f_id).s_ret assigned
+              ~callee:callee.f_id ~caller:ctx.cur.f_id loc,
+            !env )
       | _ -> (
           match callee_taint with
           | Some (Fn (_, ret)) ->
@@ -1050,8 +790,8 @@ and instantiate ret assigned ~callee ~caller loc =
   norm (go ret)
 
 (* One taint pass over a function body; returns the new summary. *)
-let eval_fn prog ~report viols (f : fn) =
-  let ctx = { prog; cur = f; report; viols; flows = ref [] } in
+let eval_fn prog ~summary ~report viols (f : fn) =
+  let ctx = { prog; cur = f; summary; report; viols; flows = ref [] } in
   let env =
     List.fold_left
       (fun (env, i) (_, p) -> (bind_pat env p (T (None, ISet.singleton i)), i + 1))
@@ -1061,16 +801,12 @@ let eval_fn prog ~report viols (f : fn) =
   let ret, _ = eval ctx ~sup:None env f.f_body in
   (* Keep one flow per (param, sink) pair — the first found is the
      shortest chain under our evaluation order. *)
-  let seen = Hashtbl.create 8 in
   let flows =
-    List.rev !(ctx.flows)
-    |> List.filter (fun fl ->
-           let k = (fl.fl_param, fl.fl_sink) in
-           if Hashtbl.mem seen k then false
-           else begin
-             Hashtbl.add seen k ();
-             true
-           end)
+    List.fold_left
+      (fun acc fl ->
+        if List.exists (Summary.same_key fl) acc then acc else fl :: acc)
+      [] (List.rev !(ctx.flows))
+    |> List.rev
   in
   let ret =
     match norm ret with
@@ -1083,122 +819,109 @@ let eval_fn prog ~report viols (f : fn) =
 (* A6: transitive zero-alloc closure                                   *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_allowlist = Cdna_lint.allow_qualified
-
 let external_allowed c =
   (* Unqualified names are parameters or local bindings — their bodies
      (if any) are walked inline, so only module-qualified externals are
      judged here. Typedtree paths are fully resolved, so a stdlib call
      is always qualified even under [open]. *)
   (not (String.contains c '.'))
-  || SSet.mem c alloc_allowlist
+  || SSet.mem c Cdna_lint.allow_qualified
   || is_operator_name (last_comp c)
   || SSet.mem c cold_exits
   || SSet.mem (last_comp c) cold_exits
 
-let check_transitive_alloc prog viols =
-  let reported = Hashtbl.create 16 in
-  let report_once key v =
-    if not (Hashtbl.mem reported key) then begin
-      Hashtbl.add reported key ();
+(* Depth-first over resolved call edges from [entry], whose witness hop
+   is [first]: [step path f c] judges call site [c] of a reached function
+   [f] and names the callee to descend into, if any; [enter path g] runs
+   once per function reached, with the witness path to it. *)
+let walk_calls facts ~first ~step ~enter (entry : fn) =
+  let visited = Hashtbl.create 16 in
+  let rec walk path (f : fn) =
+    List.iter
+      (fun c ->
+        match step path f c with
+        | Some (g : fn) when not (Hashtbl.mem visited g.f_id) ->
+            Hashtbl.add visited g.f_id ();
+            let path =
+              path
+              @ [
+                  hop_at
+                    (Printf.sprintf "%s calls %s" f.f_id g.f_id)
+                    f.f_file c.c_line;
+                ]
+            in
+            enter path g;
+            walk path g
+        | _ -> ())
+      (SMap.find f.f_id facts).calls
+  in
+  walk [ first ] entry
+
+(* Report each violation once per key across a whole check. *)
+let once viols =
+  let seen = Hashtbl.create 16 in
+  fun key v ->
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
       viols := v :: !viols
     end
+
+let check_transitive_alloc prog facts viols =
+  let report = once viols in
+  let a6 (h : fn) (g : fn) key line what chain =
+    report key
+      {
+        rule = rule_a6;
+        file = g.f_file;
+        line;
+        msg =
+          Printf.sprintf "[@cdna.hot] %s transitively reaches %s, which %s"
+            h.f_id g.f_id what;
+        chain;
+        suppress = None;
+      }
   in
-  let hot_fns =
-    SMap.bindings prog.fns |> List.map snd
-    |> List.filter (fun f -> f.f_hot)
+  let enter h path (g : fn) =
+    let gf = SMap.find g.f_id facts in
+    List.iter
+      (fun (what, line) ->
+        a6 h g
+          ("alloc:" ^ g.f_id ^ ":" ^ string_of_int line)
+          line
+          ("allocates (" ^ what ^ ")")
+          path)
+      gf.allocs;
+    List.iter
+      (fun c ->
+        if
+          (not c.c_susp)
+          && (not (SMap.mem c.c_callee prog.fns))
+          && not (external_allowed c.c_callee)
+        then
+          a6 h g
+            ("ext:" ^ g.f_id ^ ":" ^ c.c_callee)
+            c.c_line
+            (Printf.sprintf "calls %s (not on the zero-alloc allowlist)"
+               c.c_callee)
+            path)
+      gf.calls
   in
-  List.iter
-    (fun (h : fn) ->
-      let visited = Hashtbl.create 16 in
-      let rec walk path (f : fn) =
-        List.iter
-          (fun c ->
-            if not c.c_susp then
-              match SMap.find_opt c.c_callee prog.fns with
-              | Some g when g.f_id = f.f_id -> ()
-              | Some g when g.f_hot -> () (* vetted by A1-A5 *)
-              | Some g ->
-                  if not (Hashtbl.mem visited g.f_id) then begin
-                    Hashtbl.add visited g.f_id ();
-                    let path' =
-                      path
-                      @ [
-                          hop
-                            (Printf.sprintf "%s calls %s" f.f_id g.f_id)
-                            { Location.none with
-                              loc_start =
-                                {
-                                  Lexing.pos_fname = f.f_file;
-                                  pos_lnum = c.c_line;
-                                  pos_bol = 0;
-                                  pos_cnum = 0;
-                                };
-                            };
-                        ]
-                    in
-                    List.iter
-                      (fun (what, line) ->
-                        report_once
-                          ("alloc:" ^ g.f_id ^ ":" ^ string_of_int line)
-                          {
-                            rule = rule_a6;
-                            file = g.f_file;
-                            line;
-                            msg =
-                              Printf.sprintf
-                                "[@cdna.hot] %s transitively reaches %s, \
-                                 which allocates (%s)"
-                                h.f_id g.f_id what;
-                            chain = path';
-                            suppress = None;
-                          })
-                      g.f_allocs;
-                    List.iter
-                      (fun c' ->
-                        if
-                          (not c'.c_susp)
-                          && (not (SMap.mem c'.c_callee prog.fns))
-                          && not (external_allowed c'.c_callee)
-                        then
-                          report_once
-                            ("ext:" ^ g.f_id ^ ":" ^ c'.c_callee)
-                            {
-                              rule = rule_a6;
-                              file = g.f_file;
-                              line = c'.c_line;
-                              msg =
-                                Printf.sprintf
-                                  "[@cdna.hot] %s transitively reaches %s, \
-                                   which calls %s (not on the zero-alloc \
-                                   allowlist)"
-                                  h.f_id g.f_id c'.c_callee;
-                              chain = path';
-                              suppress = None;
-                            })
-                      g.f_calls;
-                    walk path' g
-                  end
-              | None -> ())
-          f.f_calls
-      in
-      walk
-        [
-          hop
-            (Printf.sprintf "hot entry %s" h.f_id)
-            {
-              Location.none with
-              loc_start =
-                {
-                  Lexing.pos_fname = h.f_file;
-                  pos_lnum = h.f_line;
-                  pos_bol = 0;
-                  pos_cnum = 0;
-                };
-            };
-        ]
-        h)
-    hot_fns
+  (* Hot callees are vetted by A1-A5 themselves. *)
+  let step _ (f : fn) c =
+    match SMap.find_opt c.c_callee prog.fns with
+    | Some g
+      when (not c.c_susp) && g.f_id <> f.f_id
+           && not (has_attr "cdna.hot" g.f_attrs) ->
+        Some g
+    | _ -> None
+  in
+  SMap.iter
+    (fun _ (h : fn) ->
+      if has_attr "cdna.hot" h.f_attrs then
+        walk_calls facts ~step ~enter:(enter h)
+          ~first:(hop_at ("hot entry " ^ h.f_id) h.f_file h.f_line)
+          h)
+    prog.fns
 
 (* ------------------------------------------------------------------ *)
 (* P3: privilege reachability                                          *)
@@ -1206,187 +929,89 @@ let check_transitive_alloc prog viols =
 
 let priv_stop_layers = SSet.of_list [ "xen"; "host"; "memory" ]
 
-let check_priv_reachability prog viols =
-  let reported = Hashtbl.create 16 in
-  let entries =
-    SMap.bindings prog.fns |> List.map snd
-    |> List.filter (fun f ->
-           (f.f_layer = "nic" || f.f_layer = "guestos")
-           && (not f.f_privileged) && not f.f_contract)
+let check_priv_reachability prog facts viols =
+  let report = once viols in
+  let step (entry : fn) path (f : fn) c =
+    (* P3 is cdna_lint's P1 restated as reachability: same operations. *)
+    if SSet.mem c.c_callee Cdna_lint.ownership_fns then begin
+      report
+        (f.f_id ^ ":" ^ string_of_int c.c_line ^ ":" ^ c.c_callee)
+        {
+          rule = rule_p3;
+          file = f.f_file;
+          line = c.c_line;
+          msg =
+            Printf.sprintf
+              "%s entry point %s reaches ownership-mutating %s outside the \
+               declared hypercall surface"
+              entry.f_layer entry.f_id c.c_callee;
+          chain = path @ [ hop_at ("ownership op " ^ c.c_callee) f.f_file c.c_line ];
+          suppress = (if c.c_susp then Some "annotated" else None);
+        };
+      None
+    end
+    else
+      match SMap.find_opt c.c_callee prog.fns with
+      | Some g
+        when g.f_privileged || contract g || SSet.mem g.f_layer priv_stop_layers
+        ->
+          None (* the declared privilege boundary *)
+      | g -> g
   in
-  List.iter
-    (fun (entry : fn) ->
-      let visited = Hashtbl.create 16 in
-      let rec walk path (f : fn) =
-        List.iter
-          (fun c ->
-            let site =
-              {
-                Location.none with
-                loc_start =
-                  {
-                    Lexing.pos_fname = f.f_file;
-                    pos_lnum = c.c_line;
-                    pos_bol = 0;
-                    pos_cnum = 0;
-                  };
-              }
-            in
-            if SSet.mem c.c_callee ownership_fns then begin
-              let key = f.f_id ^ ":" ^ string_of_int c.c_line ^ ":" ^ c.c_callee in
-              if not (Hashtbl.mem reported key) then begin
-                Hashtbl.add reported key ();
-                viols :=
-                  {
-                    rule = rule_p3;
-                    file = f.f_file;
-                    line = c.c_line;
-                    msg =
-                      Printf.sprintf
-                        "%s entry point %s reaches ownership-mutating %s \
-                         outside the declared hypercall surface"
-                        entry.f_layer entry.f_id c.c_callee;
-                    chain =
-                      path @ [ hop ("ownership op " ^ c.c_callee) site ];
-                    suppress = (if c.c_susp then Some "annotated" else None);
-                  }
-                  :: !viols
-              end
-            end
-            else
-              match SMap.find_opt c.c_callee prog.fns with
-              | Some g
-                when g.f_privileged || g.f_contract
-                     || SSet.mem g.f_layer priv_stop_layers ->
-                  () (* the declared privilege boundary *)
-              | Some g when not (Hashtbl.mem visited g.f_id) ->
-                  Hashtbl.add visited g.f_id ();
-                  walk
-                    (path
-                    @ [ hop (Printf.sprintf "%s calls %s" f.f_id g.f_id) site ])
-                    g
-              | _ -> ())
-          f.f_calls
-      in
-      walk
-        [
-          hop
-            (Printf.sprintf "entry %s (%s layer)" entry.f_id entry.f_layer)
-            {
-              Location.none with
-              loc_start =
-                {
-                  Lexing.pos_fname = entry.f_file;
-                  pos_lnum = entry.f_line;
-                  pos_bol = 0;
-                  pos_cnum = 0;
-                };
-            };
-        ]
-        entry)
-    entries
+  SMap.iter
+    (fun _ (entry : fn) ->
+      if
+        (entry.f_layer = "nic" || entry.f_layer = "guestos")
+        && (not entry.f_privileged) && not (contract entry)
+      then
+        walk_calls facts ~step:(step entry)
+          ~enter:(fun _ _ -> ())
+          ~first:
+            (hop_at
+               (Printf.sprintf "entry %s (%s layer)" entry.f_id entry.f_layer)
+               entry.f_file entry.f_line)
+          entry)
+    prog.fns
 
 (* ------------------------------------------------------------------ *)
-(* Loading and driving                                                 *)
+(* Driving                                                             *)
 (* ------------------------------------------------------------------ *)
 
-exception Flow_error of string
-
-let collect_cmts = Chain.collect_cmts
-
-let load_program root =
-  if not (Sys.file_exists root) then
-    raise (Flow_error ("no such cmt root: " ^ root));
-  let prog =
-    { fns = SMap.empty; aliases = SMap.empty; n_files = 0; sanitizer_count = 0 }
-  in
-  let cmts = collect_cmts [] root |> List.sort String.compare in
-  List.iter
-    (fun path ->
-      match Cmt_format.read_cmt path with
-      | exception _ -> ()
-      | cmt -> (
-          match (cmt.cmt_annots, cmt.cmt_sourcefile) with
-          | Cmt_format.Implementation str, Some src
-            when not (Filename.check_suffix src ".ml-gen") ->
-              prog.n_files <- prog.n_files + 1;
-              let modname = strip_wrap cmt.cmt_modname in
-              let layer = layer_of_file src in
-              collect_module prog ~modname ~file:src ~layer ~privileged:false
-                str
-          | Cmt_format.Implementation str, Some src ->
-              (* dune alias modules: harvest [module X = Lib__X] aliases
-                 only. *)
-              ignore src;
-              List.iter
-                (fun (item : Typedtree.structure_item) ->
-                  match item.str_desc with
-                  | Typedtree.Tstr_module mb ->
-                      collect_module_binding prog ~file:"" ~layer:""
-                        ~privileged:false mb
-                  | _ -> ())
-                str.str_items
-          | _ -> ()))
-    cmts;
-  prog
-
-let analyze root =
-  let prog = load_program root in
-  let fns_sorted = SMap.bindings prog.fns |> List.map snd in
-  List.iter (collect_facts prog) fns_sorted;
+let analyze (prog : Program.t) =
+  let facts = SMap.map (collect_facts prog) prog.fns in
   (* Taint fixpoint over summaries, then one reporting pass. *)
   let analyzed =
-    List.filter (fun f -> (not f.f_contract) && not f.f_privileged) fns_sorted
+    SMap.filter (fun _ f -> (not (contract f)) && not f.f_privileged) prog.fns
   in
-  let dummy = ref [] in
-  let changed = ref true in
-  let iters = ref 0 in
-  while !changed && !iters < 20 do
-    incr iters;
-    changed := false;
-    List.iter
-      (fun f ->
-        let s = eval_fn prog ~report:false dummy f in
-        if summary_image s <> summary_image f.f_summary then begin
-          f.f_summary <- s;
-          changed := true
-        end)
-      analyzed
-  done;
+  let summary, rounds =
+    Solver.solve (List.map fst (SMap.bindings analyzed)) (fun read id ->
+        eval_fn prog ~summary:read ~report:false (ref [])
+          (SMap.find id prog.fns))
+  in
   let viols = ref [] in
-  List.iter (fun f -> ignore (eval_fn prog ~report:true viols f)) analyzed;
-  check_transitive_alloc prog viols;
-  check_priv_reachability prog viols;
-  (* Deduplicate and order deterministically. *)
-  let seen = Hashtbl.create 64 in
-  let all =
-    List.rev !viols
-    |> List.filter (fun v ->
-           let k = (v.rule, v.file, v.line, v.msg) in
-           if Hashtbl.mem seen k then false
-           else begin
-             Hashtbl.add seen k ();
-             true
-           end)
-    |> List.sort violation_compare
-  in
-  let unsuppressed, suppressed =
-    List.partition (fun v -> v.suppress = None) all
+  SMap.iter
+    (fun _ f -> ignore (eval_fn prog ~summary ~report:true viols f))
+    analyzed;
+  check_transitive_alloc prog facts viols;
+  check_priv_reachability prog facts viols;
+  let violations, suppressed = finalize (List.rev !viols) in
+  let sanitizers =
+    List.filter
+      (fun b -> is_fn b && has_attr "cdna.sanitizer" b.b_vb.vb_attributes)
+      prog.bindings
   in
   {
-    cmt_files = prog.n_files;
-    functions = List.length fns_sorted;
-    violations = unsuppressed;
+    cmt_files = prog.files;
+    functions = SMap.cardinal prog.fns;
+    violations;
     suppressed;
-    sanitizer_fns = prog.sanitizer_count;
+    sanitizer_fns = List.length sanitizers;
+    rounds;
   }
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let hop_to_json = Chain.hop_to_json
-let violation_to_json = Chain.violation_to_json
 
 let report_to_json r =
   Sim.Json.Obj
@@ -1394,7 +1019,7 @@ let report_to_json r =
       ("cmt_files", Sim.Json.Int r.cmt_files);
       ("functions", Sim.Json.Int r.functions);
       ("violations", Sim.Json.Int (List.length r.violations));
-      ("rules", Chain.rule_counts_json r.violations);
+      ("rules", rule_counts_json r.violations);
       ("suppressions", Sim.Json.Int (List.length r.suppressed));
       ("sanitizer_fns", Sim.Json.Int r.sanitizer_fns);
     ]

@@ -67,32 +67,9 @@
                                  mandatory (an empty reason does not
                                  suppress) *)
 
-module SSet = Chain.SSet
-module SMap = Chain.SMap
-module ISet = Chain.ISet
-module IdentMap = Chain.IdentMap
+open Program
+include Program.Diag
 module IMap = Map.Make (Int)
-
-type hop = Chain.hop = { hop_what : string; hop_file : string; hop_line : int }
-
-type violation = Chain.violation = {
-  rule : string;
-  file : string;
-  line : int;
-  msg : string;
-  chain : hop list;
-  suppress : string option;
-}
-
-let violation_compare = Chain.violation_compare
-let violation_to_string = Chain.violation_to_string
-let hop = Chain.hop
-let loc_file = Chain.loc_file
-let loc_line = Chain.loc_line
-let canon_of = Chain.canon_of
-let last_comp = Chain.last_comp
-let find_attr = Chain.find_attr
-let attr_reason = Chain.attr_reason
 
 let rule_pr1 = "PR1-leak-on-path"
 let rule_pr2 = "PR2-double-release"
@@ -173,16 +150,6 @@ let seeded_protocols =
 let raise_family =
   SSet.of_list [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
-(* Container-store primitives: a resource handed to one of these has
-   escaped into a structure with its own lifecycle. *)
-let store_fns =
-  SSet.of_list
-    [
-      "Hashtbl.add"; "Hashtbl.replace"; "Queue.add"; "Queue.push";
-      "Stack.push"; "Array.set"; "Array.unsafe_set"; ":="; "ref";
-      "Atomic.set"; "Buffer.add_string";
-    ]
-
 (* Higher-order combinators whose literal lambda arguments run inline
    on the current path. *)
 let hof_fns =
@@ -206,80 +173,76 @@ type psum = {
   ps_raises : bool;
 }
 
-let empty_psum =
-  {
-    ps_ret = [];
-    ps_param_acq = [];
-    ps_param_rel = [];
-    ps_param_use = [];
-    ps_raises = false;
-  }
+(* Summaries as a [Program.LATTICE]. An entry's abstract value is its
+   parameter, protocol and origin (the chain's first hop: the acquire,
+   release or use site itself); the rest of the chain is only the
+   witness path, and the shortest one found is kept. *)
+module Psum = struct
+  type t = psum
 
-let hops_image hs =
-  String.concat ","
-    (List.map
-       (fun h -> Printf.sprintf "%s@%s:%d" h.hop_what h.hop_file h.hop_line)
-       hs)
+  let bottom =
+    {
+      ps_ret = [];
+      ps_param_acq = [];
+      ps_param_rel = [];
+      ps_param_use = [];
+      ps_raises = false;
+    }
 
-let psum_image s =
-  let ret =
-    List.map (fun (p, hs) -> p ^ "<" ^ hops_image hs) s.ps_ret
-    |> List.sort String.compare
-  in
-  let tr tag l =
-    List.map
-      (fun (i, p, hs) -> Printf.sprintf "%s%d:%s<%s" tag i p (hops_image hs))
-      l
-    |> List.sort String.compare
-  in
-  String.concat "|"
-    (ret @ tr "a" s.ps_param_acq @ tr "r" s.ps_param_rel
-   @ tr "u" s.ps_param_use
-    @ [ (if s.ps_raises then "!" else "") ])
+  let origin = function h :: _ -> Some h | [] -> None
+  let ret_key (p, hs) = ((-1, p, origin hs), List.length hs)
+  let param_key (i, p, hs) = ((i, p, origin hs), List.length hs)
 
-type fn = {
-  f_id : string;
-  f_module : string;
-  f_file : string;
-  f_line : int;
-  f_params : (string option * Typedtree.pattern) list;
-  f_body : Typedtree.expression;
-  f_suppress : string option; (* [@cdna.proto_ok "why"] on the binding *)
-  mutable f_summary : psum;
-}
+  (* Sorted by key, one entry per key: the shortest chain. *)
+  let dedupe key entries =
+    List.sort (fun a b -> compare (key a, a) (key b, b)) entries
+    |> List.fold_left
+         (fun acc e ->
+           match acc with
+           | e' :: _ when fst (key e') = fst (key e) -> acc
+           | _ -> e :: acc)
+         []
+    |> List.rev
+
+  let normalize s =
+    {
+      s with
+      ps_ret = dedupe ret_key s.ps_ret;
+      ps_param_acq = dedupe param_key s.ps_param_acq;
+      ps_param_rel = dedupe param_key s.ps_param_rel;
+      ps_param_use = dedupe param_key s.ps_param_use;
+    }
+
+  let join a b =
+    normalize
+      {
+        ps_ret = a.ps_ret @ b.ps_ret;
+        ps_param_acq = a.ps_param_acq @ b.ps_param_acq;
+        ps_param_rel = a.ps_param_rel @ b.ps_param_rel;
+        ps_param_use = a.ps_param_use @ b.ps_param_use;
+        ps_raises = a.ps_raises || b.ps_raises;
+      }
+
+  let equal a b =
+    let keys key l = List.map (fun e -> fst (key e)) l in
+    keys ret_key a.ps_ret = keys ret_key b.ps_ret
+    && keys param_key a.ps_param_acq = keys param_key b.ps_param_acq
+    && keys param_key a.ps_param_rel = keys param_key b.ps_param_rel
+    && keys param_key a.ps_param_use = keys param_key b.ps_param_use
+    && a.ps_raises = b.ps_raises
+end
+
+module Solver = Fixpoint.Make (Psum)
 
 type program = {
-  mutable fns : fn SMap.t;
-  mutable aliases : string SMap.t;
-  mutable n_files : int;
-  mutable acq_tbl : (string * style) list SMap.t; (* canon fn -> protos *)
-  mutable rel_tbl : (string * style) list SMap.t;
-  mutable use_tbl : (string * style) list SMap.t;
-  mutable creators : string SMap.t; (* canon creator fn -> proto *)
-  mutable acq_annots : int;
-  mutable rel_annots : int;
+  core : Program.t;
+  acq_tbl : (string * style) list SMap.t; (* canon fn -> protos *)
+  rel_tbl : (string * style) list SMap.t;
+  use_tbl : (string * style) list SMap.t;
+  creators : string SMap.t; (* canon creator fn -> proto *)
+  acq_annots : int;
+  rel_annots : int;
 }
-
-let tbl_add tbl key v =
-  let cur = match SMap.find_opt key tbl with Some l -> l | None -> [] in
-  SMap.add key (cur @ [ v ]) tbl
-
-let seed_tables prog =
-  List.iter
-    (fun p ->
-      List.iter
-        (fun (k, s) -> prog.acq_tbl <- tbl_add prog.acq_tbl k (p.p_name, s))
-        p.p_acq;
-      List.iter
-        (fun (k, s) -> prog.rel_tbl <- tbl_add prog.rel_tbl k (p.p_name, s))
-        p.p_rel;
-      List.iter
-        (fun (k, s) -> prog.use_tbl <- tbl_add prog.use_tbl k (p.p_name, s))
-        p.p_use;
-      List.iter
-        (fun k -> prog.creators <- SMap.add k p.p_name prog.creators)
-        p.p_creators)
-    seeded_protocols
 
 (* "proto" -> (proto, default); "proto@2" -> (proto, Arg 2). *)
 let parse_proto_payload ~default s =
@@ -292,100 +255,56 @@ let parse_proto_payload ~default s =
       | Some n -> (name, Arg n)
       | None -> (name, default))
 
-(* ------------------------------------------------------------------ *)
-(* Collection (pass 1)                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let rec peel_params (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_function
-      { arg_label; cases = [ { c_lhs; c_guard = None; c_rhs } ]; _ } ->
-      let lbl =
-        match arg_label with
-        | Asttypes.Nolabel -> None
-        | Asttypes.Labelled s | Asttypes.Optional s -> Some s
-      in
-      let params, body = peel_params c_rhs in
-      ((lbl, c_lhs) :: params, body)
-  | _ -> ([], e)
-
-let register_fn prog ~modname ~file (vb : Typedtree.value_binding) =
-  match vb.vb_pat.pat_desc with
-  | Typedtree.Tpat_var (_, { txt = name; _ }) -> (
-      let f_id = modname ^ "." ^ name in
-      (match find_attr "cdna.acquires" vb.vb_attributes with
-      | Some a -> (
-          prog.acq_annots <- prog.acq_annots + 1;
-          match attr_reason a with
-          | Some payload ->
-              let proto, st = parse_proto_payload ~default:Ret payload in
-              prog.acq_tbl <- tbl_add prog.acq_tbl f_id (proto, st)
-          | None -> ())
-      | None -> ());
-      (match find_attr "cdna.releases" vb.vb_attributes with
-      | Some a -> (
-          prog.rel_annots <- prog.rel_annots + 1;
-          match attr_reason a with
-          | Some payload ->
-              let proto, st = parse_proto_payload ~default:(Arg 0) payload in
-              prog.rel_tbl <- tbl_add prog.rel_tbl f_id (proto, st)
-          | None -> ())
-      | None -> ());
-      match vb.vb_expr.exp_desc with
-      | Typedtree.Texp_function _ ->
-          let params, body = peel_params vb.vb_expr in
-          let suppress =
-            match find_attr "cdna.proto_ok" vb.vb_attributes with
-            | Some a -> (
-                match attr_reason a with
-                | Some r when r <> "" -> Some r
-                | _ -> None)
-            | None -> None
-          in
-          let f =
-            {
-              f_id;
-              f_module = modname;
-              f_file = file;
-              f_line = loc_line vb.vb_loc;
-              f_params = params;
-              f_body = body;
-              f_suppress = suppress;
-              f_summary = empty_psum;
-            }
-          in
-          prog.fns <- SMap.add f.f_id f prog.fns
-      | _ -> ())
-  | _ -> ()
-
-let rec collect_module prog ~modname ~file (str : Typedtree.structure) =
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter (register_fn prog ~modname ~file) vbs
-      | Typedtree.Tstr_module mb -> collect_module_binding prog ~file mb
-      | Typedtree.Tstr_recmodule mbs ->
-          List.iter (collect_module_binding prog ~file) mbs
-      | _ -> ())
-    str.str_items
-
-and collect_module_binding prog ~file (mb : Typedtree.module_binding) =
-  let name =
-    match mb.mb_id with
-    | Some id -> Ident.name id
-    | None -> ( match mb.mb_name.txt with Some n -> n | None -> "_")
+(* The seeded protocol tables, extended by [@cdna.acquires] /
+   [@cdna.releases] on any toplevel binding. *)
+let make_program (core : Program.t) =
+  let add tbl k v =
+    SMap.update k (fun l -> Some (Option.value l ~default:[] @ [ v ])) tbl
   in
-  let rec of_mexpr (me : Typedtree.module_expr) =
-    match Chain.module_alias_target me with
-    | Some target -> prog.aliases <- SMap.add name target prog.aliases
-    | None -> (
-        match me.mod_desc with
-        | Typedtree.Tmod_structure s -> collect_module prog ~modname:name ~file s
-        | Typedtree.Tmod_constraint (m, _, _, _) -> of_mexpr m
-        | _ -> ())
+  let seed pick =
+    List.fold_left
+      (fun t p ->
+        List.fold_left (fun t (k, s) -> add t k (p.p_name, s)) t (pick p))
+      SMap.empty seeded_protocols
   in
-  of_mexpr mb.mb_expr
+  let annotated attr default seeded =
+    List.fold_left
+      (fun (t, n) (b : binding) ->
+        match (b.b_vb.vb_pat.pat_desc, find_attr attr b.b_vb.vb_attributes) with
+        | Typedtree.Tpat_var _, Some a ->
+            ( (match attr_reason a with
+              | Some s -> add t b.b_id (parse_proto_payload ~default s)
+              | None -> t),
+              n + 1 )
+        | _ -> (t, n))
+      (seeded, 0) core.bindings
+  in
+  let acq_tbl, acq_annots =
+    annotated "cdna.acquires" Ret (seed (fun p -> p.p_acq))
+  in
+  let rel_tbl, rel_annots =
+    annotated "cdna.releases" (Arg 0) (seed (fun p -> p.p_rel))
+  in
+  {
+    core;
+    acq_tbl;
+    rel_tbl;
+    use_tbl = seed (fun p -> p.p_use);
+    creators =
+      List.fold_left
+        (fun m p ->
+          List.fold_left (fun m k -> SMap.add k p.p_name m) m p.p_creators)
+        SMap.empty seeded_protocols;
+    acq_annots;
+    rel_annots;
+  }
+
+(* [@cdna.proto_ok "why"]: a suppression needs a non-empty reason. *)
+let proto_ok attrs ~default =
+  match find_attr "cdna.proto_ok" attrs with
+  | Some a -> (
+      match attr_reason a with Some r when r <> "" -> Some r | _ -> default)
+  | None -> default
 
 (* ------------------------------------------------------------------ *)
 (* Abstract domain                                                     *)
@@ -452,6 +371,7 @@ type frame = {
 type ctx = {
   prog : program;
   cur : fn;
+  summary : string -> psum; (* callee summaries, by id *)
   report : bool;
   viols : violation list ref;
   mutable next_id : int;
@@ -474,25 +394,35 @@ let new_res ctx ~proto ~hops ~what ~param =
 
 let find_res ctx id = List.find (fun r -> r.r_id = id) ctx.resources
 
-let record_violation ctx ~sup ~rule ~file ~line ~msg ~chain =
-  if ctx.report then
-    ctx.viols := { rule; file; line; msg; chain; suppress = sup } :: !(ctx.viols)
+(* Evaluate [f] inside the handler / finally [frame]. *)
+let in_frame ctx frame f =
+  ctx.frames <- frame :: ctx.frames;
+  let r = f () in
+  ctx.frames <- List.tl ctx.frames;
+  r
 
-let fn_of_name ctx name =
-  match SMap.find_opt name ctx.prog.fns with
-  | Some f -> Some f
-  | None ->
-      if String.contains name '.' then None
-      else SMap.find_opt (ctx.cur.f_module ^ "." ^ name) ctx.prog.fns
+(* Report at hop [at]: the acquire of a leak, the site of a misuse. *)
+let record_violation ctx ~sup ~rule ~(at : hop) ~msg ~chain =
+  if ctx.report then
+    ctx.viols :=
+      { rule; file = at.hop_file; line = at.hop_line; msg; chain;
+        suppress = sup }
+      :: !(ctx.viols)
+
+(* PR1 for resource [r], reported at its acquire. *)
+let leak ctx ~sup r how chain =
+  match r.r_hops with
+  | at :: _ ->
+      record_violation ctx ~sup ~rule:rule_pr1 ~at
+        ~msg:(Printf.sprintf "'%s' (%s) %s" r.r_what r.r_proto how)
+        ~chain:(r.r_hops @ chain)
+  | [] -> ()
+
+let last l = List.nth l (List.length l - 1)
 
 (* Resolve a canonical callee against a table, trying the local-module
    qualification for bare intra-module names. *)
-let tbl_find ctx tbl name =
-  match SMap.find_opt name tbl with
-  | Some l -> Some l
-  | None ->
-      if String.contains name '.' then None
-      else SMap.find_opt (ctx.cur.f_module ^ "." ^ name) tbl
+let tbl_find ctx tbl name = find_qualified tbl ~modname:ctx.cur.f_module name
 
 let is_bool_type (e : Typedtree.expression) =
   match Types.get_desc e.Typedtree.exp_type with
@@ -536,28 +466,11 @@ let classify_subject ctx env ~proto e =
           | Some (PVal i) -> (KParam i, path)
           | _ -> (KOther, path)))
 
-let rec bind_pat : type k.
+let bind_pat : type k.
     aval IdentMap.t -> k Typedtree.general_pattern -> aval -> aval IdentMap.t =
  fun env p v ->
-  match p.pat_desc with
-  | Typedtree.Tpat_var (id, _) -> IdentMap.add id v env
-  | Typedtree.Tpat_alias (p', id, _) -> bind_pat (IdentMap.add id v env) p' v
-  | Typedtree.Tpat_tuple ps ->
-      List.fold_left (fun env p' -> bind_pat env p' v) env ps
-  | Typedtree.Tpat_record (fields, _) ->
-      List.fold_left (fun env (_, _, p') -> bind_pat env p' v) env fields
-  | Typedtree.Tpat_construct (_, _, ps, _) ->
-      List.fold_left (fun env p' -> bind_pat env p' v) env ps
-  | Typedtree.Tpat_variant (_, Some p', _) -> bind_pat env p' v
-  | Typedtree.Tpat_variant (_, None, _) -> env
-  | Typedtree.Tpat_array ps ->
-      List.fold_left (fun env p' -> bind_pat env p' Nothing) env ps
-  | Typedtree.Tpat_lazy p' -> bind_pat env p' v
-  | Typedtree.Tpat_or (a, b, _) -> bind_pat (bind_pat env a v) b v
-  | Typedtree.Tpat_value arg ->
-      bind_pat env (arg :> Typedtree.value Typedtree.general_pattern) v
-  | Typedtree.Tpat_exception p' -> bind_pat env p' Nothing
-  | Typedtree.Tpat_any | Typedtree.Tpat_constant _ -> env
+  Program.bind_pat env p v ~part:(fun at v ->
+      match at with Cell | Exn -> Nothing | Elem _ | Field _ | Payload -> v)
 
 (* Does the case pattern mean "the acquire did not happen"? *)
 let rec failure_pattern : type k. k Typedtree.general_pattern -> bool =
@@ -592,47 +505,34 @@ let esc_subjects ctx st path =
       if root_matches then set_status st id Esc else st)
     ctx.subjects st
 
-(* A value leaves the function's ownership: stored, captured, or handed
-   to an unknown callee. *)
-let escape_val ctx env st v (expr : Typedtree.expression option) =
-  let st = esc_ids st (res_ids v) in
-  match expr with
-  | Some e -> (
-      match subject_of e with
-      | Some (root, path) ->
-          let st = esc_subjects ctx st path in
-          (if path = Ident.name root then
-             match IdentMap.find_opt root env with
-             | Some (FreshVal _) ->
-                 Hashtbl.replace ctx.escaped_fresh (Ident.name root) ()
-             | _ -> ());
-          st
-      | None -> st)
-  | None -> st
+(* A value [v] leaves the function's ownership — stored, captured, or
+   handed to an unknown callee — along with every tracked subject rooted
+   at its [root.path] ("m", "pool.m", ...). *)
+let escape ctx env st v (root, path) =
+  (if path = Ident.name root then
+     match IdentMap.find_opt root env with
+     | Some (FreshVal _) -> Hashtbl.replace ctx.escaped_fresh path ()
+     | _ -> ());
+  esc_subjects ctx (esc_ids st (res_ids v)) path
+
+let escape_val ctx env st v (e : Typedtree.expression) =
+  match subject_of e with
+  | Some subject -> escape ctx env st v subject
+  | None -> esc_ids st (res_ids v)
 
 let escape_ident ctx env st (id : Ident.t) =
-  let name = Ident.name id in
-  let st =
-    match IdentMap.find_opt id env with
-    | Some (Res ids) -> esc_ids st ids
-    | Some (FreshVal _) ->
-        Hashtbl.replace ctx.escaped_fresh name ();
-        st
-    | _ -> st
-  in
-  esc_subjects ctx st name
+  let v = Option.value (IdentMap.find_opt id env) ~default:Nothing in
+  escape ctx env st v (id, Ident.name id)
 
 (* Free identifiers of a closure body (for capture escapes). *)
 let free_idents (e : Typedtree.expression) =
   let acc = ref [] in
-  let visit it (e : Typedtree.expression) =
-    (match e.Typedtree.exp_desc with
-    | Typedtree.Texp_ident (Path.Pident id, _, _) -> acc := id :: !acc
-    | _ -> ());
-    Tast_iterator.default_iterator.expr it e
-  in
-  let it = { Tast_iterator.default_iterator with expr = visit } in
-  it.expr it e;
+  iter_exprs
+    (fun e ->
+      match e.exp_desc with
+      | Typedtree.Texp_ident (Path.Pident id, _, _) -> acc := id :: !acc
+      | _ -> ())
+    e;
   !acc
 
 (* ------------------------------------------------------------------ *)
@@ -646,20 +546,18 @@ let matching_ids ctx ~proto ids =
    in the current function. *)
 let release_one ctx ~sup st ~rel_hops id =
   let r = find_res ctx id in
-  let site = List.nth rel_hops (List.length rel_hops - 1) in
+  let site = last rel_hops in
   match IMap.find_opt r.r_id st with
   | Some Acq | Some (CondRel _) -> set_status st id (Rel site)
   | Some (Rel h0) ->
-      record_violation ctx ~sup ~rule:rule_pr2 ~file:site.hop_file
-        ~line:site.hop_line
+      record_violation ctx ~sup ~rule:rule_pr2 ~at:site
         ~msg:
           (Printf.sprintf "'%s' (%s) released again: already released at %s:%d"
              r.r_what r.r_proto h0.hop_file h0.hop_line)
         ~chain:(r.r_hops @ [ h0 ] @ rel_hops);
       st
   | Some (Vac h0) ->
-      record_violation ctx ~sup ~rule:rule_pr4 ~file:site.hop_file
-        ~line:site.hop_line
+      record_violation ctx ~sup ~rule:rule_pr4 ~at:site
         ~msg:
           (Printf.sprintf
              "'%s' (%s) released on a path where the acquire did not happen"
@@ -669,7 +567,7 @@ let release_one ctx ~sup st ~rel_hops id =
   | Some Esc | None -> st
 
 let release_at ctx ~sup env st ~proto ~rel_hops arg_expr arg_aval =
-  let site = List.nth rel_hops (List.length rel_hops - 1) in
+  let site = last rel_hops in
   let ids = matching_ids ctx ~proto (res_ids arg_aval) in
   if not (ISet.is_empty ids) then
     ISet.fold (fun id st -> release_one ctx ~sup st ~rel_hops id) ids st
@@ -680,8 +578,7 @@ let release_at ctx ~sup env st ~proto ~rel_hops arg_expr arg_aval =
         match classify_subject ctx env ~proto e with
         | KTracked id, _ -> release_one ctx ~sup st ~rel_hops id
         | KFresh (_, ch), path ->
-            record_violation ctx ~sup ~rule:rule_pr4 ~file:site.hop_file
-              ~line:site.hop_line
+            record_violation ctx ~sup ~rule:rule_pr4 ~at:site
               ~msg:
                 (Printf.sprintf "release of '%s' (%s) which never acquired it"
                    path proto)
@@ -694,11 +591,10 @@ let release_at ctx ~sup env st ~proto ~rel_hops arg_expr arg_aval =
 
 let use_one ctx ~sup st ~use_hops id =
   let r = find_res ctx id in
-  let site = List.nth use_hops (List.length use_hops - 1) in
+  let site = last use_hops in
   (match IMap.find_opt r.r_id st with
   | Some (Rel h0) ->
-      record_violation ctx ~sup ~rule:rule_pr3 ~file:site.hop_file
-        ~line:site.hop_line
+      record_violation ctx ~sup ~rule:rule_pr3 ~at:site
         ~msg:
           (Printf.sprintf "use of '%s' (%s) after release at %s:%d" r.r_what
              r.r_proto h0.hop_file h0.hop_line)
@@ -724,31 +620,19 @@ let use_at ctx ~sup env st ~proto ~use_hops arg_expr arg_aval =
 (* Returns the resource id acquired (for conditional-acquire results)
    and the updated state. *)
 let acquire_subject ctx env st ~proto ~acq_hops arg_expr =
+  let track path ~hops ~param =
+    let what = match acq_hops with h :: _ -> h.hop_what | [] -> proto in
+    let r = new_res ctx ~proto ~hops ~what:(path ^ " " ^ what) ~param in
+    Hashtbl.replace ctx.subjects (path ^ "#" ^ proto) r.r_id;
+    (Some r.r_id, set_status st r.r_id Acq)
+  in
   match arg_expr with
   | None -> (None, st)
   | Some e -> (
       match classify_subject ctx env ~proto e with
       | KTracked id, _ -> (Some id, set_status st id Acq)
-      | KFresh (_, ch), path ->
-          let what =
-            match acq_hops with h :: _ -> h.hop_what | [] -> proto
-          in
-          let r =
-            new_res ctx ~proto ~hops:(ch :: acq_hops)
-              ~what:(path ^ " " ^ what) ~param:None
-          in
-          Hashtbl.replace ctx.subjects (path ^ "#" ^ proto) r.r_id;
-          (Some r.r_id, set_status st r.r_id Acq)
-      | KParam i, path when i >= 0 ->
-          let what =
-            match acq_hops with h :: _ -> h.hop_what | [] -> proto
-          in
-          let r =
-            new_res ctx ~proto ~hops:acq_hops ~what:(path ^ " " ^ what)
-              ~param:(Some i)
-          in
-          Hashtbl.replace ctx.subjects (path ^ "#" ^ proto) r.r_id;
-          (Some r.r_id, set_status st r.r_id Acq)
+      | KFresh (_, ch), path -> track path ~hops:(ch :: acq_hops) ~param:None
+      | KParam i, path when i >= 0 -> track path ~hops:acq_hops ~param:(Some i)
       | (KParam _ | KOther), _ -> (None, st))
 
 (* A function exit via a raising call: every locally-owned resource
@@ -768,23 +652,15 @@ let raise_check ctx ~sup st (loc : Location.t) =
       List.iter
         (fun r ->
           if r.r_param = None && not (ISet.mem r.r_id protected) then
-            let leak chain =
-              match r.r_hops with
-              | h0 :: _ ->
-                  record_violation ctx ~sup ~rule:rule_pr1 ~file:h0.hop_file
-                    ~line:h0.hop_line
-                    ~msg:
-                      (Printf.sprintf
-                         "'%s' (%s) leaks on a raising path at %s:%d" r.r_what
-                         r.r_proto (loc_file loc) (loc_line loc))
-                    ~chain
-              | [] -> ()
+            let leak extra =
+              leak ctx ~sup r
+                (Printf.sprintf "leaks on a raising path at %s:%d"
+                   (loc_file loc) (loc_line loc))
+                (extra @ [ hop "raises without releasing" loc ])
             in
             match IMap.find_opt r.r_id st with
-            | Some Acq ->
-                leak (r.r_hops @ [ hop "raises without releasing" loc ])
-            | Some (CondRel h) ->
-                leak (r.r_hops @ [ h; hop "raises without releasing" loc ])
+            | Some Acq -> leak []
+            | Some (CondRel h) -> leak [ h ]
             | _ -> ())
         ctx.resources
 
@@ -806,70 +682,53 @@ let release_targets ctx env (e : Typedtree.expression) =
         | None -> ())
     | None -> ()
   in
-  let visit it (e : Typedtree.expression) =
-    (match e.Typedtree.exp_desc with
-    | Typedtree.Texp_apply (fe, args) -> (
-        match fe.Typedtree.exp_desc with
-        | Typedtree.Texp_ident (p, _, _) -> (
-            let c = canon_of ctx.prog.aliases (Path.name p) in
-            match tbl_find ctx ctx.prog.rel_tbl c with
-            | Some entries ->
-                List.iter
-                  (fun (proto, style) ->
-                    match style with
-                    | Arg i -> (
-                        let pos = ref (-1) in
-                        List.iter
-                          (fun (lbl, a) ->
-                            match (lbl, a) with
-                            | Asttypes.Nolabel, Some a ->
-                                incr pos;
-                                if !pos = i then add_expr_target proto a
-                            | _ -> ())
-                          args)
-                    | Ret -> ())
-                  entries
-            | None -> ())
-        | _ -> ());
-    | _ -> ());
-    Tast_iterator.default_iterator.expr it e
-  in
-  let it = { Tast_iterator.default_iterator with expr = visit } in
-  it.expr it e;
+  iter_exprs
+    (fun e ->
+      match e.exp_desc with
+      | Typedtree.Texp_apply (fe, args) -> (
+          match
+            Option.bind (ident_name ctx.prog.core fe)
+              (tbl_find ctx ctx.prog.rel_tbl)
+          with
+          | Some entries ->
+              let positional =
+                List.filter_map
+                  (function Asttypes.Nolabel, a -> a | _ -> None)
+                  args
+              in
+              List.iter
+                (function
+                  | proto, Arg i -> (
+                      match List.nth_opt positional i with
+                      | Some a -> add_expr_target proto a
+                      | None -> ())
+                  | _, Ret -> ())
+                entries
+          | None -> ())
+      | _ -> ())
+    e;
   !acc
 
 let contains_raise ctx (e : Typedtree.expression) =
   let found = ref false in
-  let visit it (e : Typedtree.expression) =
-    (match e.Typedtree.exp_desc with
-    | Typedtree.Texp_apply (fe, _) -> (
-        match fe.Typedtree.exp_desc with
-        | Typedtree.Texp_ident (p, _, _) ->
-            let c = canon_of ctx.prog.aliases (Path.name p) in
-            if SSet.mem (last_comp c) raise_family then found := true
-        | _ -> ())
-    | _ -> ());
-    Tast_iterator.default_iterator.expr it e
-  in
-  let it = { Tast_iterator.default_iterator with expr = visit } in
-  it.expr it e;
+  iter_exprs
+    (fun e ->
+      match e.exp_desc with
+      | Typedtree.Texp_apply (fe, _) -> (
+          match ident_name ctx.prog.core fe with
+          | Some c when SSet.mem (last_comp c) raise_family -> found := true
+          | _ -> ())
+      | _ -> ())
+    e;
   !found
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let callee_of ctx (e : Typedtree.expression) =
-  match e.Typedtree.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) ->
-      Some (canon_of ctx.prog.aliases (Path.name p))
-  | _ -> None
-
 let lambda_body (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
-  | Typedtree.Texp_function _ ->
-      let params, body = peel_params e in
-      Some (params, body)
+  | Typedtree.Texp_function _ -> Some (peel_params e)
   | _ -> None
 
 let nth_nolabel args i =
@@ -885,12 +744,7 @@ let nth_nolabel args i =
 
 let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
     aval * status IMap.t =
-  let sup =
-    match find_attr "cdna.proto_ok" e.exp_attributes with
-    | Some a -> (
-        match attr_reason a with Some r when r <> "" -> Some r | _ -> sup)
-    | None -> sup
-  in
+  let sup = proto_ok e.exp_attributes ~default:sup in
   match e.exp_desc with
   | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
       match IdentMap.find_opt id env with
@@ -901,14 +755,7 @@ let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
       let env, st =
         List.fold_left
           (fun (env, st) (vb : Typedtree.value_binding) ->
-            let sup =
-              match find_attr "cdna.proto_ok" vb.vb_attributes with
-              | Some a -> (
-                  match attr_reason a with
-                  | Some r when r <> "" -> Some r
-                  | _ -> sup)
-              | None -> sup
-            in
+            let sup = proto_ok vb.vb_attributes ~default:sup in
             let v, st = eval ctx ~sup env st vb.vb_expr in
             (bind_pat env vb.vb_pat v, st))
           (env, st) vbs
@@ -967,10 +814,10 @@ let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
             contains_raise ctx c.c_rhs)
           cases
       in
-      ctx.frames <-
-        { fr_rel = rel_ids; fr_absorbs = not reraises } :: ctx.frames;
-      let av_b, st_b = eval ctx ~sup env st body in
-      (ctx.frames <- (match ctx.frames with _ :: t -> t | [] -> []));
+      let av_b, st_b =
+        in_frame ctx { fr_rel = rel_ids; fr_absorbs = not reraises }
+          (fun () -> eval ctx ~sup env st body)
+      in
       let branches =
         (av_b, st_b)
         :: List.map
@@ -1034,7 +881,7 @@ let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
             | Typedtree.Kept _ -> st
             | Typedtree.Overridden (_, fe) ->
                 let v, st = eval ctx ~sup env st fe in
-                escape_val ctx env st v (Some fe))
+                escape_val ctx env st v fe)
           st fields
       in
       (Nothing, st)
@@ -1043,7 +890,7 @@ let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
         List.fold_left
           (fun st e ->
             let v, st = eval ctx ~sup env st e in
-            escape_val ctx env st v (Some e))
+            escape_val ctx env st v e)
           st es
       in
       (Nothing, st)
@@ -1056,7 +903,7 @@ let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
   | Typedtree.Texp_setfield (e1, _, _, e2) ->
       let _, st = eval ctx ~sup env st e1 in
       let v2, st = eval ctx ~sup env st e2 in
-      (Nothing, escape_val ctx env st v2 (Some e2))
+      (Nothing, escape_val ctx env st v2 e2)
   | Typedtree.Texp_while (c, body) ->
       let _, st0 = eval ctx ~sup env st c in
       let _, st1 = eval ctx ~sup env st0 body in
@@ -1076,14 +923,9 @@ let rec eval ctx ~(sup : string option) env st (e : Typedtree.expression) :
   | _ ->
       (* Conservative default: evaluate children left-to-right for their
          state effects. *)
-      let st_ref = ref st in
-      let visit _ (ce : Typedtree.expression) =
-        let _, st' = eval ctx ~sup env !st_ref ce in
-        st_ref := st'
-      in
-      let it = { Tast_iterator.default_iterator with expr = visit } in
-      Tast_iterator.default_iterator.expr it e;
-      (Nothing, !st_ref)
+      let st = ref st in
+      iter_children (fun ce -> st := snd (eval ctx ~sup env !st ce)) e;
+      (Nothing, !st)
 
 and join_branches = function
   | [] -> (Nothing, IMap.empty)
@@ -1094,18 +936,9 @@ and join_branches = function
 
 and eval_apply ctx ~sup env st (e : Typedtree.expression) fe args =
   let loc = e.Typedtree.exp_loc in
-  match callee_of ctx fe with
+  match ident_name ctx.prog.core fe with
   | Some c when SSet.mem (last_comp c) raise_family ->
-      let st =
-        List.fold_left
-          (fun st (_, a) ->
-            match a with
-            | Some a ->
-                let _, st = eval ctx ~sup env st a in
-                st
-            | None -> st)
-          st args
-      in
+      let st = eval_args ctx ~sup env st args in
       raise_check ctx ~sup st loc;
       (Nothing, st)
   | Some "Fun.protect" -> eval_protect ctx ~sup env st loc args
@@ -1133,30 +966,13 @@ and eval_apply ctx ~sup env st (e : Typedtree.expression) fe args =
       in
       ((match cond with Some v -> v | None -> Nothing), st)
   | Some c when last_comp c = "ignore" ->
-      let st =
-        List.fold_left
-          (fun st (_, a) ->
-            match a with
-            | Some a ->
-                let _, st = eval ctx ~sup env st a in
-                st
-            | None -> st)
-          st args
-      in
-      (Nothing, st)
+      (Nothing, eval_args ctx ~sup env st args)
   | Some c -> (
       let acq = tbl_find ctx ctx.prog.acq_tbl c in
       let rel = tbl_find ctx ctx.prog.rel_tbl c in
       let use = tbl_find ctx ctx.prog.use_tbl c in
-      let creator =
-        match SMap.find_opt c ctx.prog.creators with
-        | Some p -> Some p
-        | None ->
-            if String.contains c '.' then None
-            else SMap.find_opt (ctx.cur.f_module ^ "." ^ c) ctx.prog.creators
-      in
+      let creator = tbl_find ctx ctx.prog.creators c in
       let is_hof = SSet.mem c hof_fns in
-      let is_store = SSet.mem c store_fns || SSet.mem (last_comp c) store_fns in
       (* Evaluate arguments; literal lambdas to HOF combinators run
          inline instead of escaping their captures. *)
       let eargs, st =
@@ -1165,11 +981,7 @@ and eval_apply ctx ~sup env st (e : Typedtree.expression) fe args =
             match a with
             | None -> (acc, st)
             | Some a -> (
-                let lbl =
-                  match lbl with
-                  | Asttypes.Nolabel -> None
-                  | Asttypes.Labelled s | Asttypes.Optional s -> Some s
-                in
+                let lbl = label_name lbl in
                 match (is_hof, lambda_body a) with
                 | true, Some (params, body) ->
                     let env' =
@@ -1256,24 +1068,26 @@ and eval_apply ctx ~sup env st (e : Typedtree.expression) fe args =
           | None -> (
               if rel <> None || use <> None then (Nothing, st)
               else
-                match fn_of_name ctx c with
+                match find_fn ctx.prog.core ~modname:ctx.cur.f_module c with
                 | Some callee -> apply_summary ctx ~sup env st ~loc callee eargs
                 | None ->
-                    if is_store then
-                      ( Nothing,
-                        List.fold_left
-                          (fun st (_, av, ae) ->
-                            escape_val ctx env st av (Some ae))
-                          st eargs )
-                    else
-                      ( Nothing,
-                        List.fold_left
-                          (fun st (_, av, ae) ->
-                            escape_val ctx env st av (Some ae))
-                          st eargs ))))
+                    (* Unknown callee or container store: the arguments
+                       leave this function's ownership. *)
+                    ( Nothing,
+                      List.fold_left
+                        (fun st (_, av, ae) ->
+                          escape_val ctx env st av ae)
+                        st eargs ))))
   | None ->
       let _, st = eval ctx ~sup env st fe in
       eval_unknown ctx ~sup env st args
+
+(* Evaluate arguments left to right for their state effects only. *)
+and eval_args ctx ~sup env st args =
+  List.fold_left
+    (fun st (_, a) ->
+      match a with Some a -> snd (eval ctx ~sup env st a) | None -> st)
+    st args
 
 and eval_unknown ctx ~sup env st args =
   let st =
@@ -1282,7 +1096,7 @@ and eval_unknown ctx ~sup env st args =
         match a with
         | Some a ->
             let v, st = eval ctx ~sup env st a in
-            escape_val ctx env st v (Some a)
+            escape_val ctx env st v a
         | None -> st)
       st args
   in
@@ -1305,78 +1119,51 @@ and eval_protect ctx ~sup env st _loc args =
   in
   match (finally, thunk) with
   | Some fin, Some th ->
-      let fin_body =
-        match lambda_body fin with Some (_, b) -> Some b | None -> None
-      in
+      let fin_body = Option.map snd (lambda_body fin) in
       let targets =
-        match fin_body with
-        | Some b -> release_targets ctx env b
-        | None -> ISet.empty
+        Option.fold ~none:ISet.empty ~some:(release_targets ctx env) fin_body
       in
-      ctx.frames <- { fr_rel = targets; fr_absorbs = false } :: ctx.frames;
       let av, st =
-        match lambda_body th with
-        | Some (_, b) -> eval ctx ~sup env st b
-        | None -> eval ctx ~sup env st th
+        in_frame ctx { fr_rel = targets; fr_absorbs = false } (fun () ->
+            eval ctx ~sup env st
+              (match lambda_body th with Some (_, b) -> b | None -> th))
       in
-      (ctx.frames <- (match ctx.frames with _ :: t -> t | [] -> []));
-      let st =
-        match fin_body with
-        | Some b ->
-            let _, st = eval ctx ~sup env st b in
-            st
-        | None -> st
-      in
-      (av, st)
+      ( av,
+        Option.fold ~none:st ~some:(fun b -> snd (eval ctx ~sup env st b))
+          fin_body )
   | _ -> eval_unknown ctx ~sup env st args
 
 (* Apply a callee's fixpoint summary at the call site, extending hop
    chains through the call so cross-module lifetimes read end to end. *)
 and apply_summary ctx ~sup env st ~loc (callee : fn) eargs =
-  let s = callee.f_summary in
-  let st =
+  let s = ctx.summary callee.f_id in
+  let via what hops = hops @ [ hop (what ^ " via " ^ callee.f_id) loc ] in
+  let on_args entries act st =
     List.fold_left
       (fun st (i, proto, hops) ->
         match nth_nolabel eargs i with
-        | Some (av, ae) ->
-            release_at ctx ~sup env st ~proto
-              ~rel_hops:(hops @ [ hop ("released via " ^ callee.f_id) loc ])
-              (Some ae) av
+        | Some (av, ae) -> act st proto hops av (Some ae)
         | None -> st)
-      st s.ps_param_rel
+      st entries
   in
   let st =
-    List.fold_left
-      (fun st (i, proto, hops) ->
-        match nth_nolabel eargs i with
-        | Some (av, ae) ->
-            use_at ctx ~sup env st ~proto
-              ~use_hops:(hops @ [ hop ("used via " ^ callee.f_id) loc ])
-              (Some ae) av
-        | None -> st)
-      st s.ps_param_use
-  in
-  let st =
-    List.fold_left
-      (fun st (i, proto, hops) ->
-        match nth_nolabel eargs i with
-        | Some (_, ae) ->
-            let _, st =
-              acquire_subject ctx env st ~proto
-                ~acq_hops:(hops @ [ hop ("acquired via " ^ callee.f_id) loc ])
-                (Some ae)
-            in
-            st
-        | None -> st)
-      st s.ps_param_acq
+    st
+    |> on_args s.ps_param_rel (fun st proto hops av ae ->
+           release_at ctx ~sup env st ~proto ~rel_hops:(via "released" hops)
+             ae av)
+    |> on_args s.ps_param_use (fun st proto hops av ae ->
+           use_at ctx ~sup env st ~proto ~use_hops:(via "used" hops) ae av)
+    |> on_args s.ps_param_acq (fun st proto hops _ ae ->
+           snd
+             (acquire_subject ctx env st ~proto
+                ~acq_hops:(via "acquired" hops) ae))
   in
   let ret_ids, st =
     List.fold_left
       (fun (ids, st) (proto, hops) ->
         let r =
-          new_res ctx ~proto
-            ~hops:(hops @ [ hop ("acquired via " ^ callee.f_id) loc ])
-            ~what:callee.f_id ~param:None
+          new_res ctx ~proto ~hops:(via "acquired" hops) ~what:callee.f_id
+            ~param:None
         in
         (ISet.add r.r_id ids, set_status st r.r_id Acq))
       (ISet.empty, st) s.ps_ret
@@ -1390,11 +1177,12 @@ and apply_summary ctx ~sup env st ~loc (callee : fn) eargs =
 (* Analyze one function body; returns its (possibly improved) summary.
    With [report=true] also records violations for locally-owned
    resources that fail their protocol on some exit path. *)
-let eval_fn prog ~report viols (f : fn) : psum =
+let eval_fn prog ~summary ~report viols (f : fn) : psum =
   let ctx =
     {
       prog;
       cur = f;
+      summary;
       report;
       viols;
       next_id = 0;
@@ -1415,16 +1203,10 @@ let eval_fn prog ~report viols (f : fn) : psum =
         | Some _ -> (bind_pat env pat (PVal (-1)), pos))
       (IdentMap.empty, 0) f.f_params
   in
-  let sup = f.f_suppress in
+  let sup = proto_ok f.f_attrs ~default:None in
   let av, st = eval ctx ~sup env IMap.empty f.f_body in
   let returned = res_ids av in
-  let exit_hop =
-    {
-      hop_what = "function exit " ^ f.f_id;
-      hop_file = f.f_file;
-      hop_line = f.f_line;
-    }
-  in
+  let exit_hop = hop_at ("function exit " ^ f.f_id) f.f_file f.f_line in
   let ps_ret = ref [] and ps_param_acq = ref [] in
   List.iter
     (fun r ->
@@ -1436,75 +1218,26 @@ let eval_fn prog ~report viols (f : fn) : psum =
         | _ -> ())
       else
         match (r.r_param, stat) with
-        | None, Some Acq -> (
-            match r.r_hops with
-            | h0 :: _ ->
-                record_violation ctx ~sup ~rule:rule_pr1 ~file:h0.hop_file
-                  ~line:h0.hop_line
-                  ~msg:
-                    (Printf.sprintf "'%s' (%s) is never released" r.r_what
-                       r.r_proto)
-                  ~chain:(r.r_hops @ [ exit_hop ])
-            | [] -> ())
-        | None, Some (CondRel h) -> (
-            match r.r_hops with
-            | h0 :: _ ->
-                record_violation ctx ~sup ~rule:rule_pr1 ~file:h0.hop_file
-                  ~line:h0.hop_line
-                  ~msg:
-                    (Printf.sprintf
-                       "'%s' (%s) is released on some paths but leaks on \
-                        others" r.r_what r.r_proto)
-                  ~chain:(r.r_hops @ [ h; exit_hop ])
-            | [] -> ())
+        | None, Some Acq -> leak ctx ~sup r "is never released" [ exit_hop ]
+        | None, Some (CondRel h) ->
+            leak ctx ~sup r "is released on some paths but leaks on others"
+              [ h; exit_hop ]
         | Some i, Some Acq when i >= 0 ->
             ps_param_acq := (i, r.r_proto, r.r_hops) :: !ps_param_acq
         | _ -> ())
     (List.rev ctx.resources);
-  {
-    ps_ret = List.sort_uniq compare !ps_ret;
-    ps_param_acq = List.sort_uniq compare !ps_param_acq;
-    ps_param_rel = List.sort_uniq compare ctx.sum_param_rel;
-    ps_param_use = List.sort_uniq compare ctx.sum_param_use;
-    ps_raises = ctx.raises;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Program loading and fixpoint                                        *)
-(* ------------------------------------------------------------------ *)
-
-let load_program cmt_paths =
-  let prog =
+  Psum.normalize
     {
-      fns = SMap.empty;
-      aliases = SMap.empty;
-      n_files = 0;
-      acq_tbl = SMap.empty;
-      rel_tbl = SMap.empty;
-      use_tbl = SMap.empty;
-      creators = SMap.empty;
-      acq_annots = 0;
-      rel_annots = 0;
+      ps_ret = List.rev !ps_ret;
+      ps_param_acq = List.rev !ps_param_acq;
+      ps_param_rel = List.rev ctx.sum_param_rel;
+      ps_param_use = List.rev ctx.sum_param_use;
+      ps_raises = ctx.raises;
     }
-  in
-  seed_tables prog;
-  List.iter
-    (fun path ->
-      let cmt = Cmt_format.read_cmt path in
-      match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str ->
-          let file =
-            match cmt.Cmt_format.cmt_sourcefile with
-            | Some f -> f
-            | None -> path
-          in
-          if not (Filename.check_suffix file ".ml-gen") then (
-            prog.n_files <- prog.n_files + 1;
-            let modname = Chain.strip_wrap cmt.Cmt_format.cmt_modname in
-            collect_module prog ~modname ~file str)
-      | _ -> ())
-    cmt_paths;
-  prog
+
+(* ------------------------------------------------------------------ *)
+(* Driving                                                             *)
+(* ------------------------------------------------------------------ *)
 
 type report = {
   cmt_files : int;
@@ -1516,41 +1249,22 @@ type report = {
   rel_annots : int;
   violations : violation list;
   suppressed : violation list;
+  rounds : int; (* summary fixpoint rounds *)
 }
 
-let analyze_paths cmt_paths =
-  let prog = load_program cmt_paths in
-  (* Fixpoint over summaries: re-run until no psum changes (bounded). *)
-  let changed = ref true and iters = ref 0 in
-  while !changed && !iters < 20 do
-    changed := false;
-    incr iters;
-    SMap.iter
-      (fun _ f ->
-        let s = eval_fn prog ~report:false (ref []) f in
-        if psum_image s <> psum_image f.f_summary then (
-          f.f_summary <- s;
-          changed := true))
-      prog.fns
-  done;
+let analyze (core : Program.t) =
+  let prog = make_program core in
+  let summary, rounds =
+    Solver.solve (List.map fst (SMap.bindings core.fns)) (fun read id ->
+        eval_fn prog ~summary:read ~report:false (ref [])
+          (SMap.find id core.fns))
+  in
   (* Report pass with stable summaries. *)
   let viols = ref [] in
-  SMap.iter (fun _ f -> ignore (eval_fn prog ~report:true viols f)) prog.fns;
-  let seen = Hashtbl.create 64 in
-  let vs =
-    List.filter
-      (fun v ->
-        let key = (v.rule, v.file, v.line, v.msg) in
-        if Hashtbl.mem seen key then false
-        else (
-          Hashtbl.replace seen key ();
-          true))
-      !viols
-    |> List.sort violation_compare
-  in
-  let suppressed, violations =
-    List.partition (fun v -> v.suppress <> None) vs
-  in
+  SMap.iter
+    (fun _ f -> ignore (eval_fn prog ~summary ~report:true viols f))
+    core.fns;
+  let violations, suppressed = finalize !viols in
   let protocols =
     SMap.fold
       (fun _ entries acc ->
@@ -1558,8 +1272,8 @@ let analyze_paths cmt_paths =
       prog.acq_tbl SSet.empty
   in
   {
-    cmt_files = prog.n_files;
-    functions = SMap.cardinal prog.fns;
+    cmt_files = core.files;
+    functions = SMap.cardinal core.fns;
     protocols = SSet.cardinal protocols;
     acq_fns = SMap.cardinal prog.acq_tbl;
     rel_fns = SMap.cardinal prog.rel_tbl;
@@ -1567,10 +1281,8 @@ let analyze_paths cmt_paths =
     rel_annots = prog.rel_annots;
     violations;
     suppressed;
+    rounds;
   }
-
-let analyze root =
-  analyze_paths (Chain.collect_cmts [] root |> List.sort String.compare)
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
@@ -1588,9 +1300,7 @@ let report_to_json (r : report) =
       ("release_annots", Sim.Json.Int r.rel_annots);
       ("violations", Sim.Json.Int (List.length r.violations));
       ("suppressions", Sim.Json.Int (List.length r.suppressed));
-      ("rules", Chain.rule_counts_json r.violations);
-      ( "reports",
-        Sim.Json.List (List.map Chain.violation_to_json r.violations) );
-      ( "suppressed",
-        Sim.Json.List (List.map Chain.violation_to_json r.suppressed) );
+      ("rules", rule_counts_json r.violations);
+      ("reports", Sim.Json.List (List.map violation_to_json r.violations));
+      ("suppressed", Sim.Json.List (List.map violation_to_json r.suppressed));
     ]

@@ -2,18 +2,19 @@
 
    Usage:
      main.exe [--json FILE] [--stats FILE] [--quiet] [--format text|github]
-              [--flow CMT_DIR] [--dom CMT_DIR] [--proto CMT_DIR]
-              [--only RULE] [--gate BASELINE] [DIR|FILE]...
+              [--cmt CMT_DIR] [--only RULE] [--gate BASELINE] [DIR|FILE]...
 
    Walks every [.ml] under the given roots (default: [lib]) through the
-   parsetree checker; with [--flow] additionally runs the interprocedural
-   typedtree verifier over the compiled [.cmt] tree rooted at CMT_DIR,
-   with [--dom] the domain-safety / race detector over the same tree, and
-   with [--proto] the resource-protocol (typestate) verifier. One
-   invocation runs all requested passes and exits with a single combined
-   code.
+   parsetree checker. With [--cmt] it also loads the compiled [.cmt]
+   tree rooted at CMT_DIR once ([Program.load]) and runs the three
+   typedtree passes over it: the interprocedural flow verifier, the
+   domain-safety / race detector and the resource-protocol (typestate)
+   verifier. One invocation runs all passes and exits with a single
+   combined code.
 
-   Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
+   Exit codes: 0 clean, 1 violations found, 2 usage or I/O error, an
+   unreadable .cmt, or a summary fixpoint that did not converge (a run
+   that cannot be trusted never reports).
 
    [--only RULE] restricts the rendered report and the exit code to
    violations of RULE — either a full rule name ("PR1-leak-on-path") or
@@ -27,8 +28,9 @@
    run summary (rules hit, files scanned, suppression counts, per-pass
    reports) as deterministic Sim.Json documents so CI can archive them.
    The stats document also carries a [timing] block (per-pass wall time
-   in milliseconds and input count); it is diagnostic only and is never
-   consulted by the drift gate.
+   in milliseconds, input count, and fixpoint rounds for flow and
+   proto); it is diagnostic only and is never consulted by the drift
+   gate.
 
    [--gate BASELINE] is the suppression-drift gate: after computing the
    current stats it fails (exit 1) if the unsuppressed-violation count or
@@ -36,20 +38,12 @@
 
 let usage =
   "usage: cdna_lint [--json FILE] [--stats FILE] [--quiet] [--format \
-   text|github] [--flow CMT_DIR] [--dom CMT_DIR] [--proto CMT_DIR] \
-   [--only RULE] [--gate BASELINE] [PATH]..."
+   text|github] [--cmt CMT_DIR] [--only RULE] [--gate BASELINE] [PATH]..."
 
 let usage_error msg =
   prerr_endline ("cdna_lint: " ^ msg);
   prerr_endline usage;
   exit 2
-
-let rec collect_ml acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left (fun acc entry -> collect_ml acc (Filename.concat path entry)) acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
 
 let read_file path =
   let ic = open_in_bin path in
@@ -80,33 +74,19 @@ let github_escape s =
 (* Suppression-drift gate                                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_int ?(default = 0) j path =
-  let rec walk j = function
-    | [] -> ( match j with Sim.Json.Int n -> Some n | _ -> None)
-    | k :: rest -> (
-        match j with
-        | Sim.Json.Obj fields -> (
-            match List.assoc_opt k fields with
-            | Some j' -> walk j' rest
-            | None -> None)
-        | _ -> None)
-  in
-  match walk j path with Some n -> n | None -> default
+let rec json_at j = function
+  | [] -> Some j
+  | k :: rest -> (
+      match j with
+      | Sim.Json.Obj fields ->
+          Option.bind (List.assoc_opt k fields) (fun j' -> json_at j' rest)
+      | _ -> None)
 
-let json_obj_total j path =
-  match
-    let rec walk j = function
-      | [] -> Some j
-      | k :: rest -> (
-          match j with
-          | Sim.Json.Obj fields -> (
-              match List.assoc_opt k fields with
-              | Some j' -> walk j' rest
-              | None -> None)
-          | _ -> None)
-    in
-    walk j path
-  with
+(* A tracked count: an integer field, or the total of an object of
+   per-annotation integers. *)
+let json_count j path =
+  match json_at j path with
+  | Some (Sim.Json.Int n) -> n
   | Some (Sim.Json.Obj fields) ->
       List.fold_left
         (fun acc (_, v) -> match v with Sim.Json.Int n -> acc + n | _ -> acc)
@@ -127,39 +107,24 @@ let run_gate ~baseline_path current =
   in
   let checks =
     [
-      ("violations", json_int baseline [ "violations" ],
-       json_int current [ "violations" ]);
-      ("suppressions (total)", json_obj_total baseline [ "suppressions" ],
-       json_obj_total current [ "suppressions" ]);
-      ("flow violations", json_int baseline [ "flow"; "violations" ],
-       json_int current [ "flow"; "violations" ]);
-      ("flow suppressions", json_int baseline [ "flow"; "suppressions" ],
-       json_int current [ "flow"; "suppressions" ]);
-      ("dom violations", json_int baseline [ "dom"; "violations" ],
-       json_int current [ "dom"; "violations" ]);
-      ("dom suppressions", json_int baseline [ "dom"; "suppressions" ],
-       json_int current [ "dom"; "suppressions" ]);
-      ("dom domain_shared annotations",
-       json_int baseline [ "dom"; "domain_shared" ],
-       json_int current [ "dom"; "domain_shared" ]);
-      ("dom domain_local annotations",
-       json_int baseline [ "dom"; "domain_local" ],
-       json_int current [ "dom"; "domain_local" ]);
-      ("proto violations", json_int baseline [ "proto"; "violations" ],
-       json_int current [ "proto"; "violations" ]);
-      ("proto suppressions", json_int baseline [ "proto"; "suppressions" ],
-       json_int current [ "proto"; "suppressions" ]);
-      ("proto acquire annotations",
-       json_int baseline [ "proto"; "acquire_annots" ],
-       json_int current [ "proto"; "acquire_annots" ]);
-      ("proto release annotations",
-       json_int baseline [ "proto"; "release_annots" ],
-       json_int current [ "proto"; "release_annots" ]);
+      ("violations", [ "violations" ]);
+      ("suppressions (total)", [ "suppressions" ]);
+      ("flow violations", [ "flow"; "violations" ]);
+      ("flow suppressions", [ "flow"; "suppressions" ]);
+      ("dom violations", [ "dom"; "violations" ]);
+      ("dom suppressions", [ "dom"; "suppressions" ]);
+      ("dom domain_shared annotations", [ "dom"; "domain_shared" ]);
+      ("dom domain_local annotations", [ "dom"; "domain_local" ]);
+      ("proto violations", [ "proto"; "violations" ]);
+      ("proto suppressions", [ "proto"; "suppressions" ]);
+      ("proto acquire annotations", [ "proto"; "acquire_annots" ]);
+      ("proto release annotations", [ "proto"; "release_annots" ]);
     ]
   in
   let drifted =
     List.filter_map
-      (fun (what, base, cur) ->
+      (fun (what, path) ->
+        let base = json_count baseline path and cur = json_count current path in
         if cur > base then Some (what, base, cur) else None)
       checks
   in
@@ -181,9 +146,7 @@ let () =
   let stats_out = ref None in
   let quiet = ref false in
   let format = ref `Text in
-  let flow_root = ref None in
-  let dom_root = ref None in
-  let proto_root = ref None in
+  let cmt_root = ref None in
   let only = ref None in
   let gate = ref None in
   let roots = ref [] in
@@ -195,14 +158,8 @@ let () =
     | "--stats" :: f :: rest ->
         stats_out := Some f;
         parse_args rest
-    | "--flow" :: d :: rest ->
-        flow_root := Some d;
-        parse_args rest
-    | "--dom" :: d :: rest ->
-        dom_root := Some d;
-        parse_args rest
-    | "--proto" :: d :: rest ->
-        proto_root := Some d;
+    | "--cmt" :: d :: rest ->
+        cmt_root := Some d;
         parse_args rest
     | "--only" :: r :: rest ->
         only := Some r;
@@ -222,8 +179,8 @@ let () =
     | ("--help" | "-h") :: _ ->
         print_endline usage;
         exit 0
-    | [ ("--json" | "--stats" | "--flow" | "--dom" | "--proto" | "--only"
-        | "--gate" | "--format") ] ->
+    | [ ("--json" | "--stats" | "--cmt" | "--only" | "--gate" | "--format") ]
+      ->
         usage_error "missing option argument"
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
         usage_error ("unknown option " ^ arg)
@@ -239,82 +196,70 @@ let () =
         usage_error ("no such path: " ^ r))
     roots;
   let files =
-    List.fold_left collect_ml [] roots
+    List.fold_left (Program.collect_files ".ml") [] roots
     |> List.sort_uniq String.compare
     |> List.map (fun p -> (p, read_file p))
   in
   (* Per-pass wall time: diagnostic only (stats [timing] block and the
      summary line), deliberately outside the drift gate. *)
   let timings = ref [] in
-  let timed name count f =
+  let timed name facts f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     let ms = int_of_float (ceil ((Unix.gettimeofday () -. t0) *. 1000.)) in
-    timings := !timings @ [ (name, ms, count r) ];
+    timings := !timings @ [ (name, ("ms", ms) :: facts r) ];
     r
   in
   let diags, stats =
-    timed "lint" (fun _ -> List.length files) (fun () -> Cdna_lint.run files)
+    timed "lint"
+      (fun _ -> [ ("inputs", List.length files) ])
+      (fun () -> Cdna_lint.run files)
   in
-  let flow_report =
-    match !flow_root with
-    | None -> None
-    | Some d -> (
-        match
-          timed "flow"
-            (fun r -> match r with Some r -> r.Cdna_flow.cmt_files | None -> 0)
-            (fun () -> Some (Cdna_flow.analyze d))
-        with
-        | r -> r
-        | exception Cdna_flow.Flow_error msg ->
-            prerr_endline ("cdna_flow: " ^ msg);
-            exit 2)
-  in
-  let dom_report =
-    match !dom_root with
-    | None -> None
-    | Some d -> (
-        match
-          timed "dom"
-            (fun r -> match r with Some r -> r.Cdna_dom.cmt_files | None -> 0)
-            (fun () -> Some (Cdna_dom.analyze d))
-        with
-        | r -> r
-        | exception Cdna_dom.Dom_error msg ->
-            prerr_endline ("cdna_dom: " ^ msg);
-            exit 2)
-  in
-  let proto_report =
-    match !proto_root with
-    | None -> None
-    | Some d ->
-        Some
-          (timed "proto"
-             (fun r -> r.Cdna_proto.cmt_files)
-             (fun () -> Cdna_proto.analyze d))
+  let reports =
+    Option.map
+      (fun d ->
+        try
+          let prog =
+            timed "load"
+              (fun (p : Program.t) -> [ ("inputs", p.files) ])
+              (fun () -> Program.load d)
+          in
+          let inputs = [ ("inputs", prog.files) ] in
+          let flow =
+            timed "flow"
+              (fun (r : Cdna_flow.report) -> inputs @ [ ("rounds", r.rounds) ])
+              (fun () -> Cdna_flow.analyze prog)
+          in
+          let dom =
+            timed "dom" (fun _ -> inputs) (fun () -> Cdna_dom.analyze prog)
+          in
+          let proto =
+            timed "proto"
+              (fun (r : Cdna_proto.report) -> inputs @ [ ("rounds", r.rounds) ])
+              (fun () -> Cdna_proto.analyze prog)
+          in
+          (flow, dom, proto)
+        with e when Program.failure_message e <> None ->
+          prerr_endline
+            ("cdna_lint: " ^ Option.get (Program.failure_message e));
+          exit 2)
+      !cmt_root
   in
   (* [--only]: the filtered views drive rendering and the exit code; the
      stats artifact below is always computed from the full reports. *)
   let only = !only in
   let shown_diags =
-    List.filter (fun d -> Chain.rule_matches ~only d.Cdna_lint.rule) diags
+    List.filter (fun d -> Program.rule_matches ~only d.Cdna_lint.rule) diags
   in
-  let shown_pass vs =
-    List.filter (fun v -> Chain.rule_matches ~only v.Chain.rule) vs
-  in
-  let shown_flow =
-    match flow_report with
-    | Some r -> shown_pass r.Cdna_flow.violations
-    | None -> []
-  in
-  let shown_dom =
-    match dom_report with
-    | Some r -> shown_pass r.Cdna_dom.violations
-    | None -> []
-  in
-  let shown_proto =
-    match proto_report with
-    | Some r -> shown_pass r.Cdna_proto.violations
+  let shown_cmt =
+    match reports with
+    | Some
+        ( (flow : Cdna_flow.report),
+          (dom : Cdna_dom.report),
+          (proto : Cdna_proto.report) ) ->
+        List.filter
+          (fun (v : Program.violation) -> Program.rule_matches ~only v.rule)
+          (flow.violations @ dom.violations @ proto.violations)
     | None -> []
   in
   (* Reports. *)
@@ -324,8 +269,8 @@ let () =
         (fun d -> print_endline (Cdna_lint.diag_to_string d))
         shown_diags;
       List.iter
-        (fun v -> print_endline (Chain.violation_to_string v))
-        (shown_flow @ shown_dom @ shown_proto)
+        (fun v -> print_endline (Program.violation_to_string v))
+        shown_cmt
   | `Github ->
       List.iter
         (fun d ->
@@ -335,41 +280,37 @@ let () =
             (github_escape d.Cdna_lint.msg))
         shown_diags;
       List.iter
-        (fun (v : Chain.violation) ->
-          let chain =
-            String.concat "\n"
-              (List.mapi
-                 (fun i (h : Chain.hop) ->
-                   Printf.sprintf "%d. %s at %s:%d" (i + 1) h.hop_what
-                     h.hop_file h.hop_line)
-                 v.chain)
-          in
+        (fun (v : Program.violation) ->
           Printf.printf "::error file=%s,line=%d::[%s] %s\n" v.file v.line
             v.rule
-            (github_escape (v.msg ^ "\n" ^ chain)))
-        (shown_flow @ shown_dom @ shown_proto));
+            (github_escape
+               (v.msg ^ "\n" ^ String.concat "\n" (Program.chain_lines v))))
+        shown_cmt);
   (* Artifacts. *)
   let stats_json =
-    let base = Cdna_lint.stats_to_json stats in
-    let add name block j =
-      match (block, j) with
-      | Some b, Sim.Json.Obj fields -> Sim.Json.Obj (fields @ [ (name, b) ])
-      | _, j -> j
+    let blocks =
+      (match reports with
+      | Some (flow, dom, proto) ->
+          [
+            ("flow", Cdna_flow.report_to_json flow);
+            ("dom", Cdna_dom.report_to_json dom);
+            ("proto", Cdna_proto.report_to_json proto);
+          ]
+      | None -> [])
+      @ [
+          ( "timing",
+            Sim.Json.Obj
+              (List.map
+                 (fun (name, facts) ->
+                   ( name,
+                     Sim.Json.Obj
+                       (List.map (fun (k, n) -> (k, Sim.Json.Int n)) facts) ))
+                 !timings) );
+        ]
     in
-    base
-    |> add "flow" (Option.map Cdna_flow.report_to_json flow_report)
-    |> add "dom" (Option.map Cdna_dom.report_to_json dom_report)
-    |> add "proto" (Option.map Cdna_proto.report_to_json proto_report)
-    |> add "timing"
-         (Some
-            (Sim.Json.Obj
-               (List.map
-                  (fun (name, ms, n) ->
-                    ( name,
-                      Sim.Json.Obj
-                        [ ("ms", Sim.Json.Int ms); ("inputs", Sim.Json.Int n) ]
-                    ))
-                  !timings)))
+    match Cdna_lint.stats_to_json stats with
+    | Sim.Json.Obj fields -> Sim.Json.Obj (fields @ blocks)
+    | j -> j
   in
   (* Gate before writing artifacts: [--stats] may legitimately point at
      the same file as [--gate], refreshing the baseline only after the
@@ -395,43 +336,36 @@ let () =
          (fun acc (_, n) -> acc + n)
          0 stats.Cdna_lint.suppression_counts);
     Option.iter
-      (fun r ->
+      (fun ( (f : Cdna_flow.report),
+             (d : Cdna_dom.report),
+             (p : Cdna_proto.report) ) ->
         Printf.printf
           "cdna_flow: %d cmt file(s), %d function(s), %d violation(s), %d \
            suppressed, %d sanitizer(s)\n"
-          r.Cdna_flow.cmt_files r.Cdna_flow.functions
-          (List.length r.Cdna_flow.violations)
-          (List.length r.Cdna_flow.suppressed)
-          r.Cdna_flow.sanitizer_fns)
-      flow_report;
-    Option.iter
-      (fun (r : Cdna_dom.report) ->
+          f.cmt_files f.functions (List.length f.violations)
+          (List.length f.suppressed) f.sanitizer_fns;
         Printf.printf
           "cdna_dom: %d cmt file(s), %d state item(s) [%s], %d violation(s), \
            %d suppressed, %d domain-local assertion(s)\n"
-          r.cmt_files r.state_items
+          d.cmt_files d.state_items
           (String.concat ", "
-             (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) r.classes))
-          (List.length r.violations)
-          (List.length r.suppressed)
-          r.domain_local)
-      dom_report;
-    Option.iter
-      (fun (r : Cdna_proto.report) ->
+             (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) d.classes))
+          (List.length d.violations) (List.length d.suppressed) d.domain_local;
         Printf.printf
           "cdna_proto: %d cmt file(s), %d function(s), %d protocol(s), %d \
            violation(s), %d suppressed\n"
-          r.cmt_files r.functions r.protocols
-          (List.length r.violations)
-          (List.length r.suppressed))
-      proto_report;
+          p.cmt_files p.functions p.protocols (List.length p.violations)
+          (List.length p.suppressed))
+      reports;
     Printf.printf "cdna timing: %s\n"
       (String.concat ", "
          (List.map
-            (fun (name, ms, n) -> Printf.sprintf "%s %dms/%d" name ms n)
+            (fun (name, facts) ->
+              let fact k = List.assoc k facts in
+              Printf.sprintf "%s %dms/%d%s" name (fact "ms") (fact "inputs")
+                (match List.assoc_opt "rounds" facts with
+                | Some n -> Printf.sprintf " (%d rounds)" n
+                | None -> ""))
             !timings))
   end;
-  if
-    shown_diags <> [] || shown_flow <> [] || shown_dom <> []
-    || shown_proto <> [] || not gate_ok
-  then exit 1
+  if shown_diags <> [] || shown_cmt <> [] || not gate_ok then exit 1

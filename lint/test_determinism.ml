@@ -33,13 +33,13 @@ let combined ~order =
     |> List.map (fun p -> (p, read_file p))
   in
   let diags, stats = Cdna_lint.run files in
-  let flow = Cdna_flow.analyze "flow_fixtures" in
-  let dom = Cdna_dom.analyze "dom_fixtures" in
+  let flow = Cdna_flow.analyze (Program.load "flow_fixtures") in
+  let dom = Cdna_dom.analyze (Program.load "dom_fixtures") in
   let proto =
     let paths =
-      Chain.collect_cmts [] "proto_fixtures" |> List.sort String.compare
+      Program.collect_cmts [] "proto_fixtures" |> List.sort String.compare
     in
-    Cdna_proto.analyze_paths (order paths)
+    Cdna_proto.analyze (Program.load_paths (order paths))
   in
   let json =
     match Cdna_lint.stats_to_json stats with
@@ -55,9 +55,9 @@ let combined ~order =
   in
   let rendered =
     List.map Cdna_lint.diag_to_string diags
-    @ List.map Chain.violation_to_string flow.Cdna_flow.violations
-    @ List.map Chain.violation_to_string dom.Cdna_dom.violations
-    @ List.map Chain.violation_to_string proto.Cdna_proto.violations
+    @ List.map Program.violation_to_string flow.Cdna_flow.violations
+    @ List.map Program.violation_to_string dom.Cdna_dom.violations
+    @ List.map Program.violation_to_string proto.Cdna_proto.violations
   in
   (Sim.Json.to_string json, String.concat "\n" rendered)
 

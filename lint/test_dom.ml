@@ -6,7 +6,7 @@
 
 let fixture_root = "dom_fixtures"
 
-let report = lazy (Cdna_dom.analyze fixture_root)
+let report = lazy (Cdna_dom.analyze (Program.load fixture_root))
 
 let viols_in base =
   let r = Lazy.force report in
@@ -188,7 +188,7 @@ let test_only_filter () =
   let count only =
     List.length
       (List.filter
-         (fun v -> Chain.rule_matches ~only v.Cdna_dom.rule)
+         (fun v -> Program.rule_matches ~only v.Cdna_dom.rule)
          r.Cdna_dom.violations)
   in
   Alcotest.(check int) "DM1 prefix filter"
@@ -201,8 +201,8 @@ let test_only_filter () =
 (* Byte-identical reports across runs: the JSON artifact is diffed by
    the suppression-drift gate, so ordering must be deterministic. *)
 let test_deterministic () =
-  let a = Cdna_dom.analyze fixture_root in
-  let b = Cdna_dom.analyze fixture_root in
+  let a = Cdna_dom.analyze (Program.load fixture_root) in
+  let b = Cdna_dom.analyze (Program.load fixture_root) in
   Alcotest.(check string)
     "report JSON identical across runs"
     (Sim.Json.to_string (Cdna_dom.report_to_json a))

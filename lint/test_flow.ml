@@ -5,7 +5,7 @@
 
 let fixture_root = "flow_fixtures"
 
-let report = lazy (Cdna_flow.analyze fixture_root)
+let report = lazy (Cdna_flow.analyze (Program.load fixture_root))
 
 let viols_in base =
   let r = Lazy.force report in
@@ -112,8 +112,8 @@ let test_totals () =
 (* Byte-identical reports across runs: the JSON artifact is diffed by
    the suppression gate, so ordering must be deterministic. *)
 let test_deterministic () =
-  let a = Cdna_flow.analyze fixture_root in
-  let b = Cdna_flow.analyze fixture_root in
+  let a = Cdna_flow.analyze (Program.load fixture_root) in
+  let b = Cdna_flow.analyze (Program.load fixture_root) in
   Alcotest.(check string)
     "report JSON identical across runs"
     (Sim.Json.to_string (Cdna_flow.report_to_json a))
@@ -131,7 +131,7 @@ let test_only_filter () =
   let count only =
     List.length
       (List.filter
-         (fun v -> Chain.rule_matches ~only v.Cdna_flow.rule)
+         (fun v -> Program.rule_matches ~only v.Cdna_flow.rule)
          r.Cdna_flow.violations)
   in
   Alcotest.(check int) "T1 prefix filter" 5 (count (Some "T1"));

@@ -164,7 +164,7 @@ let test_only_filter () =
   let diags, _ = Cdna_lint.run files in
   let count only =
     List.length
-      (List.filter (fun d -> Chain.rule_matches ~only d.Cdna_lint.rule) diags)
+      (List.filter (fun d -> Program.rule_matches ~only d.Cdna_lint.rule) diags)
   in
   Alcotest.(check int) "D1 prefix filter" 1 (count (Some "D1"));
   Alcotest.(check int) "full rule name filter" 3

@@ -6,7 +6,7 @@
    _build/default/lint under dune). *)
 
 let fixture_root = "proto_fixtures"
-let report = lazy (Cdna_proto.analyze fixture_root)
+let report = lazy (Cdna_proto.analyze (Program.load fixture_root))
 
 let viols_in base =
   let r = Lazy.force report in
@@ -255,7 +255,7 @@ let test_rule_filter () =
   let count only =
     List.length
       (List.filter
-         (fun v -> Chain.rule_matches ~only v.Cdna_proto.rule)
+         (fun v -> Program.rule_matches ~only v.Cdna_proto.rule)
          r.Cdna_proto.violations)
   in
   Alcotest.(check int) "PR1 prefix filter" 7 (count (Some "PR1"));
@@ -267,14 +267,14 @@ let test_rule_filter () =
 (* Byte-identical reports across runs and under reversed corpus
    listing order: the JSON artifact is diffed by the drift gate. *)
 let test_deterministic () =
-  let a = Cdna_proto.analyze fixture_root in
-  let b = Cdna_proto.analyze fixture_root in
+  let a = Cdna_proto.analyze (Program.load fixture_root) in
+  let b = Cdna_proto.analyze (Program.load fixture_root) in
   Alcotest.(check string)
     "report JSON identical across runs"
     (Sim.Json.to_string (Cdna_proto.report_to_json a))
     (Sim.Json.to_string (Cdna_proto.report_to_json b));
-  let paths = Chain.collect_cmts [] fixture_root |> List.sort String.compare in
-  let c = Cdna_proto.analyze_paths (List.rev paths) in
+  let paths = Program.collect_cmts [] fixture_root |> List.sort String.compare in
+  let c = Cdna_proto.analyze (Program.load_paths (List.rev paths)) in
   Alcotest.(check string)
     "report JSON stable under listing order"
     (Sim.Json.to_string (Cdna_proto.report_to_json a))
