@@ -1,46 +1,63 @@
 (* Flat physical memory.
 
-   One contiguous [Bytes.t] backs the whole address space; page metadata
-   lives in a [Page.t array] indexed by pfn. The backing is allocated
-   uninitialized (the OS commits pages lazily), so a page must be zeroed
-   on first touch: the [materialized] bitmap records which pages have
-   been, and doubles as the [materialized_pages] accounting the old
-   hashtable gave for free. Reclaiming a page clears its bit, so a
-   reallocated frame zero-fills again on next access and never leaks the
-   previous owner's bytes.
+   One contiguous [Bytes.t] backs the whole address space. The backing is
+   allocated uninitialized (the OS commits pages lazily), so a page must
+   be zeroed on first touch: the [materialized] bitmap records which
+   pages have been, and doubles as the [materialized_pages] accounting.
+   Reclaiming a page clears its bit, so a reallocated frame zero-fills
+   again on next access and never leaks the previous owner's bytes.
+
+   Page metadata (Xen's [page_info]) is two int slots per pfn, and the
+   allocator is a bump pointer over never-allocated pfns plus a LIFO
+   stack of reclaimed ones; DESIGN.md section 8 gives the layout and why
+   the allocation order must be exactly this one.
 
    The datapath accessors ([read_into], [write_sub], the fixed-width
    uints) validate the range once at the API edge and then index the
    flat store with [Bytes.unsafe_get]/[unsafe_set] — no intermediate
-   allocation, no per-page hashtable lookups. *)
+   allocation, no per-page lookups. *)
+
+type domain_id = int
+type state = Free | Owned of domain_id | Quarantined of domain_id
+
+let tag_free = 0
+let tag_owned = 1
+let tag_quarantined = 2
+let[@inline] pack owner tag = (owner lsl 2) lor tag
 
 type t = {
   total_pages : int;
   total_bytes : int;
   data : Bytes.t;
-  pages : Page.t array;
+  meta : int array; (* (owner lsl 2) lor tag, per pfn *)
+  refs : int array; (* reference (pin) count, per pfn *)
   materialized : Bytes.t; (* 1 bit per page *)
   mutable materialized_count : int;
-  mutable free_list : Addr.pfn list;
-  mutable free_count : int;
+  mutable fresh : int; (* pfns >= fresh have never been allocated *)
+  mutable stack : Addr.pfn array; (* reclaimed pfns, top at [sp - 1] *)
+  mutable sp : int;
 }
+
+let[@inline] tag t pfn = Array.unsafe_get t.meta pfn land 3
+let[@inline] owner t pfn = Array.unsafe_get t.meta pfn asr 2
 
 let create ~total_pages () =
   if total_pages <= 0 then invalid_arg "Phys_mem.create: no pages";
-  let rec build p acc = if p < 0 then acc else build (p - 1) (p :: acc) in
   {
     total_pages;
     total_bytes = total_pages * Addr.page_size;
     data = Bytes.create (total_pages * Addr.page_size);
-    pages = Array.init total_pages (fun pfn -> Page.create ~pfn);
+    meta = Array.make total_pages (pack 0 tag_free);
+    refs = Array.make total_pages 0;
     materialized = Bytes.make ((total_pages + 7) / 8) '\000';
     materialized_count = 0;
-    free_list = build (total_pages - 1) [];
-    free_count = total_pages;
+    fresh = 0;
+    stack = [||];
+    sp = 0;
   }
 
 let total_pages t = t.total_pages
-let free_pages t = t.free_count
+let free_pages t = t.sp + (t.total_pages - t.fresh)
 let[@cdna.hot] materialized_pages t = t.materialized_count
 
 let[@cdna.hot] is_materialized t pfn =
@@ -78,54 +95,106 @@ let[@cdna.hot] touch_range t ~addr ~len =
     done
   end
 
-let[@cdna.hot] page t pfn =
+let[@cdna.hot] check_pfn t pfn =
   if pfn < 0 || pfn >= t.total_pages then
-    invalid_arg "Phys_mem.page: pfn out of range";
-  Array.unsafe_get t.pages pfn
+    invalid_arg "Phys_mem.page: pfn out of range"
 
-let alloc t ~owner ~count =
+let state t pfn =
+  check_pfn t pfn;
+  let tag = tag t pfn in
+  if tag = tag_owned then Owned (owner t pfn)
+  else if tag = tag_quarantined then Quarantined (owner t pfn)
+  else Free
+
+let refcount t pfn =
+  check_pfn t pfn;
+  Array.unsafe_get t.refs pfn
+
+(* The one allocator: hands out the top of the reclaimed stack first,
+   then fresh pfns. The popped pfns stay in their stack slots until
+   overwritten, which is what lets [alloc] list them afterwards. *)
+let populate t ~owner ~count =
   if count < 0 then invalid_arg "Phys_mem.alloc: negative count";
-  if count > t.free_count then Error `Out_of_memory
+  if count > free_pages t then Error `Out_of_memory
   else begin
-    let rec take n l acc =
-      if n = 0 then (List.rev acc, l)
-      else
-        match l with
-        | [] -> (List.rev acc, []) (* unreachable: free_count guards *)
-        | p :: rest -> take (n - 1) rest (p :: acc)
-    in
-    let taken, rest = take count t.free_list [] in
-    t.free_list <- rest;
-    t.free_count <- t.free_count - count;
-    List.iter (fun pfn -> Page.set_owned (page t pfn) owner) taken;
-    Ok taken
+    let tag = pack owner tag_owned in
+    let popped = min count t.sp in
+    for i = t.sp - popped to t.sp - 1 do
+      Array.unsafe_set t.meta (Array.unsafe_get t.stack i) tag
+    done;
+    t.sp <- t.sp - popped;
+    Array.fill t.meta t.fresh (count - popped) tag;
+    t.fresh <- t.fresh + (count - popped);
+    Ok ()
   end
 
+let alloc t ~owner ~count =
+  let sp = t.sp and fresh = t.fresh in
+  match populate t ~owner ~count with
+  | Error _ as e -> e
+  | Ok () ->
+      (* Allocation order: stack slots [sp - 1] down to [t.sp], then
+         [fresh .. t.fresh - 1]; consed from the back. *)
+      let acc = ref [] in
+      for pfn = t.fresh - 1 downto fresh do
+        acc := pfn :: !acc
+      done;
+      for i = t.sp to sp - 1 do
+        acc := Array.unsafe_get t.stack i :: !acc
+      done;
+      Ok !acc
+
 let reclaim t pfn =
-  t.free_list <- pfn :: t.free_list;
-  t.free_count <- t.free_count + 1;
+  Array.unsafe_set t.meta pfn (pack 0 tag_free);
+  if t.sp = Array.length t.stack then begin
+    let grown = Array.make (max 64 (2 * t.sp)) 0 in
+    Array.blit t.stack 0 grown 0 t.sp;
+    t.stack <- grown
+  end;
+  Array.unsafe_set t.stack t.sp pfn;
+  t.sp <- t.sp + 1;
   (* Freshly reallocated pages must not leak previous contents: clearing
      the bit makes the next touch zero-fill the frame again. *)
   dematerialize t pfn
 
 let free t pfn =
-  let p = page t pfn in
-  Page.release p;
-  match Page.state p with
-  | Free -> reclaim t pfn
-  | Quarantined _ -> ()
-  | Owned _ -> assert false
+  check_pfn t pfn;
+  if tag t pfn <> tag_owned then invalid_arg "Page.release: page not owned";
+  if Array.unsafe_get t.refs pfn = 0 then reclaim t pfn
+  else Array.unsafe_set t.meta pfn (pack (owner t pfn) tag_quarantined)
 
-let transfer t pfn ~to_ = Page.transfer (page t pfn) to_
-let get_ref t pfn = Page.get_ref (page t pfn)
+let transfer t pfn ~to_ =
+  check_pfn t pfn;
+  if tag t pfn <> tag_owned then invalid_arg "Page.transfer: page not owned";
+  if Array.unsafe_get t.refs pfn > 0 then Error `Pinned
+  else begin
+    Array.unsafe_set t.meta pfn (pack to_ tag_owned);
+    Ok ()
+  end
+
+let get_ref t pfn =
+  check_pfn t pfn;
+  if tag t pfn = tag_free then invalid_arg "Page.get_ref: free page";
+  Array.unsafe_set t.refs pfn (Array.unsafe_get t.refs pfn + 1)
 
 let put_ref t pfn =
-  match Page.put_ref (page t pfn) with
-  | `Now_free -> reclaim t pfn
-  | `Still_held -> ()
+  check_pfn t pfn;
+  let r = Array.unsafe_get t.refs pfn in
+  if r <= 0 then invalid_arg "Page.put_ref: refcount already zero";
+  Array.unsafe_set t.refs pfn (r - 1);
+  if r = 1 && tag t pfn = tag_quarantined then reclaim t pfn
 
 let owned_by t pfn dom =
-  pfn >= 0 && pfn < t.total_pages && Page.is_owned_by (page t pfn) dom
+  pfn >= 0 && pfn < t.total_pages
+  && Array.unsafe_get t.meta pfn = pack dom tag_owned
+
+let owned_pages t dom =
+  let owned = pack dom tag_owned in
+  let acc = ref [] in
+  for pfn = t.fresh - 1 downto 0 do
+    if Array.unsafe_get t.meta pfn = owned then acc := pfn :: !acc
+  done;
+  !acc
 
 let[@cdna.hot] valid_range t ~addr ~len =
   len >= 0 && addr >= 0 && len <= t.total_bytes && addr <= t.total_bytes - len

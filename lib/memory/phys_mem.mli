@@ -1,11 +1,16 @@
 (** Simulated host physical memory.
 
     A flat physical address space of 4 KB pages with per-page ownership and
-    reference counting ({!Page}), a free-list allocator, and real byte
-    contents. The backing store is one contiguous [Bytes.t]; page contents
-    are still materialized (zero-filled) lazily on first touch — guests in
-    the experiments only touch network-buffer pages, so a 4 GB machine
-    commits only what is actually written.
+    reference counting (Xen's [page_info]), a free-page allocator, and
+    real byte contents. The backing store is one contiguous [Bytes.t];
+    page contents are still materialized (zero-filled) lazily on first
+    touch — guests in the experiments only touch network-buffer pages, so
+    a 4 GB machine commits only what is actually written.
+
+    Each page has an owning domain and a reference count. The CDNA
+    hypervisor pins pages under outstanding DMA by holding a reference,
+    which blocks reallocation (paper section 3.3). Domains are identified
+    by small integers.
 
     DMA in the simulator goes through {!read}/{!write} (or the
     non-allocating {!read_into}/{!write_sub} used by the datapath), so a
@@ -15,6 +20,16 @@
 
 type t
 
+type domain_id = int
+
+type state =
+  | Free  (** Available to the allocator. *)
+  | Owned of domain_id
+  | Quarantined of domain_id
+      (** Freed by its owner while references were outstanding; withheld
+          from reallocation until the count drops to zero. The domain is
+          the previous owner (for diagnostics). *)
+
 (** [create ~total_pages ()] builds a memory of [total_pages] 4 KB pages,
     all initially free. *)
 val create : total_pages:int -> unit -> t
@@ -22,37 +37,59 @@ val create : total_pages:int -> unit -> t
 val total_pages : t -> int
 val free_pages : t -> int
 
-(** Page metadata. @raise Invalid_argument if [pfn] is out of range. *)
-val page : t -> Addr.pfn -> Page.t
+(** {1 Page metadata}
 
-(** {1 Allocation} *)
+    @raise Invalid_argument if [pfn] is out of range. *)
 
-(** [alloc t ~owner ~count] takes [count] free pages for domain [owner].
-    Returns [Error `Out_of_memory] (allocating nothing) if not enough
-    pages are free. *)
-val alloc : t -> owner:Page.domain_id -> count:int -> (Addr.pfn list, [ `Out_of_memory ]) result
+val state : t -> Addr.pfn -> state
+val refcount : t -> Addr.pfn -> int
+
+(** {1 Allocation}
+
+    Pages are handed out in a fixed order: pages reclaimed by {!free} or
+    {!put_ref} first, most recently reclaimed first, then never-allocated
+    pages in ascending pfn order. *)
+
+(** [alloc t ~owner ~count] takes [count] free pages for domain [owner],
+    in allocation order. Returns [Error `Out_of_memory] (allocating
+    nothing) if not enough pages are free.
+    @raise Invalid_argument if [count] is negative. *)
+val alloc : t -> owner:domain_id -> count:int -> (Addr.pfn list, [ `Out_of_memory ]) result
+
+(** [populate t ~owner ~count] is {!alloc} without building the page
+    list, for callers that find the pages later through {!owned_pages}. *)
+val populate : t -> owner:domain_id -> count:int -> (unit, [ `Out_of_memory ]) result
 
 (** [free t pfn] releases a page back to the allocator. If the page has
     outstanding references (pinned by DMA), it is quarantined and returns
-    to the free list only when the last reference is dropped.
+    to the allocator only when the last reference is dropped.
     @raise Invalid_argument if the page is not owned. *)
 val free : t -> Addr.pfn -> unit
 
 (** [transfer t pfn ~to_] flips ownership of an owned, unreferenced page
-    to another domain without passing through the free list.
+    to another domain without passing through the allocator. Returns
+    [Error `Pinned] if references are outstanding.
     @raise Invalid_argument if the page is not owned. *)
-val transfer : t -> Addr.pfn -> to_:Page.domain_id -> (unit, [ `Pinned ]) result
+val transfer : t -> Addr.pfn -> to_:domain_id -> (unit, [ `Pinned ]) result
 
 (** {1 Reference counting (DMA pinning)} *)
 
 (** @raise Invalid_argument if the page is free. *)
 val get_ref : t -> Addr.pfn -> unit
 
-(** Decrement; reclaims quarantined pages that drop to zero. *)
+(** Decrement; reclaims quarantined pages that drop to zero.
+    @raise Invalid_argument if the count is already zero. *)
 val put_ref : t -> Addr.pfn -> unit
 
-(** [owned_by t pfn dom] is true iff [pfn] is currently owned by [dom]. *)
-val owned_by : t -> Addr.pfn -> Page.domain_id -> bool
+(** {1 Ownership queries} *)
+
+(** [owned_by t pfn dom] is true iff [pfn] is currently owned by [dom]
+    (false for an out-of-range [pfn]). *)
+val owned_by : t -> Addr.pfn -> domain_id -> bool
+
+(** [owned_pages t dom] lists the pages [dom] owns, in ascending order.
+    Quarantined pages belong to nobody. *)
+val owned_pages : t -> domain_id -> Addr.pfn list
 
 (** {1 Byte access}
 

@@ -22,8 +22,10 @@ val kernel : t -> Host.Category.t
 
 val user : t -> Host.Category.t
 
-(** Pages currently owned (allocated at creation; may grow/shrink through
-    ballooning or grant transfers). *)
+(** Pages currently owned, in ascending pfn order (allocated at creation;
+    may grow/shrink through ballooning or grant transfers). Read from the
+    physical memory's ownership metadata, so it is exact by construction;
+    a page freed while pinned (quarantined) belongs to no domain. *)
 val pages : t -> Memory.Addr.pfn list
 
 val page_count : t -> int
@@ -42,9 +44,7 @@ val make :
   name:string ->
   kind:kind ->
   entity:Host.Cpu.entity ->
-  pages:Memory.Addr.pfn list ->
+  mem:Memory.Phys_mem.t ->
   t
 
-val add_page : t -> Memory.Addr.pfn -> unit
-val remove_page : t -> Memory.Addr.pfn -> unit
 val incr_virq : t -> unit

@@ -145,8 +145,8 @@ let forbidden_modules = SSet.of_list [ "Gc"; "Marshal" ]
 let ownership_fns =
   SSet.of_list
     [
-      "Phys_mem.alloc"; "Phys_mem.free"; "Phys_mem.transfer";
-      "Phys_mem.get_ref"; "Phys_mem.put_ref"; "Iommu.grant"; "Iommu.revoke";
+      "Phys_mem.alloc"; "Phys_mem.populate"; "Phys_mem.free";
+      "Phys_mem.transfer"; "Phys_mem.get_ref"; "Phys_mem.put_ref"; "Iommu.grant"; "Iommu.revoke";
       "Iommu.revoke_context";
     ]
 

@@ -8,7 +8,7 @@
    found in a production driver. Resources are declared once in a
    protocol table of acquire/release/use function pairs, seeded from
    the real pairs in lib/ (Iommu.grant->revoke, Hyp.assign_context->
-   revoke, Page get_ref->put_ref, Pkt_buf try_reserve->release,
+   revoke, Phys_mem get_ref->put_ref, Pkt_buf try_reserve->release,
    Mmio map->revoke, Cnic save_context->restore_context_image,
    Mutex lock->unlock) and extensible per-function via annotation.
 
@@ -112,10 +112,10 @@ let seeded_protocols =
     };
     {
       p_name = "page-pin";
-      p_acq = [ ("Page.get_ref", Arg 0); ("Phys_mem.get_ref", Arg 0) ];
-      p_rel = [ ("Page.put_ref", Arg 0); ("Phys_mem.put_ref", Arg 0) ];
+      p_acq = [ ("Phys_mem.get_ref", Arg 0) ];
+      p_rel = [ ("Phys_mem.put_ref", Arg 0) ];
       p_use = [];
-      p_creators = [ "Page.create" ];
+      p_creators = [];
     };
     {
       p_name = "pkt-buf";

@@ -36,58 +36,67 @@ let prop_pages_spanned_count =
       List.length pages = last - first + 1
       && List.for_all (fun p -> p >= first && p <= last) pages)
 
-(* ---------- Page ---------- *)
+(* ---------- Page metadata ---------- *)
+
+(* Xen's page_info lifecycle, through the Phys_mem API on a small memory.
+   A second [alloc] of an owned page cannot happen (the allocator only
+   hands out free pfns); the model-equivalence property below covers it. *)
+
+let small () = Memory.Phys_mem.create ~total_pages:8 ()
+let alloc1 m ~owner = List.hd (Result.get_ok (Memory.Phys_mem.alloc m ~owner ~count:1))
 
 let test_page_lifecycle () =
-  let p = Memory.Page.create ~pfn:7 in
-  check_bool "starts free" true (Memory.Page.state p = Memory.Page.Free);
-  Memory.Page.set_owned p 3;
-  check_bool "owned" true (Memory.Page.is_owned_by p 3);
-  check_bool "not other" false (Memory.Page.is_owned_by p 4);
-  Memory.Page.release p;
-  check_bool "free again" true (Memory.Page.state p = Memory.Page.Free)
+  let m = small () in
+  check_bool "starts free" true (Memory.Phys_mem.state m 7 = Memory.Phys_mem.Free);
+  let p = alloc1 m ~owner:3 in
+  check_bool "owned" true (Memory.Phys_mem.owned_by m p 3);
+  check_bool "not other" false (Memory.Phys_mem.owned_by m p 4);
+  Memory.Phys_mem.free m p;
+  check_bool "free again" true (Memory.Phys_mem.state m p = Memory.Phys_mem.Free)
 
 let test_page_quarantine () =
-  let p = Memory.Page.create ~pfn:7 in
-  Memory.Page.set_owned p 1;
-  Memory.Page.get_ref p;
-  Memory.Page.get_ref p;
-  Memory.Page.release p;
+  let m = small () in
+  let p = alloc1 m ~owner:1 in
+  Memory.Phys_mem.get_ref m p;
+  Memory.Phys_mem.get_ref m p;
+  Memory.Phys_mem.free m p;
   check_bool "quarantined" true
-    (match Memory.Page.state p with Memory.Page.Quarantined 1 -> true | _ -> false);
-  check_bool "first put still held" true (Memory.Page.put_ref p = `Still_held);
-  check_bool "last put frees" true (Memory.Page.put_ref p = `Now_free);
-  check_bool "now free" true (Memory.Page.state p = Memory.Page.Free)
+    (Memory.Phys_mem.state m p = Memory.Phys_mem.Quarantined 1);
+  Memory.Phys_mem.put_ref m p;
+  check_bool "first put still held" true
+    (Memory.Phys_mem.state m p = Memory.Phys_mem.Quarantined 1
+    && Memory.Phys_mem.free_pages m = 7);
+  Memory.Phys_mem.put_ref m p;
+  check_bool "last put frees" true (Memory.Phys_mem.free_pages m = 8);
+  check_bool "now free" true (Memory.Phys_mem.state m p = Memory.Phys_mem.Free)
 
 let test_page_transfer () =
-  let p = Memory.Page.create ~pfn:1 in
-  Memory.Page.set_owned p 1;
-  check_bool "transfer ok" true (Memory.Page.transfer p 2 = Ok ());
-  check_bool "new owner" true (Memory.Page.is_owned_by p 2);
-  Memory.Page.get_ref p;
-  check_bool "pinned refuses" true (Memory.Page.transfer p 3 = Error `Pinned)
+  let m = small () in
+  let p = alloc1 m ~owner:1 in
+  check_bool "transfer ok" true (Memory.Phys_mem.transfer m p ~to_:2 = Ok ());
+  check_bool "new owner" true (Memory.Phys_mem.owned_by m p 2);
+  Memory.Phys_mem.get_ref m p;
+  check_bool "pinned refuses" true (Memory.Phys_mem.transfer m p ~to_:3 = Error `Pinned)
 
 let test_page_invalid_transitions () =
-  let p = Memory.Page.create ~pfn:0 in
+  let m = small () in
   Alcotest.check_raises "ref free page" (Invalid_argument "Page.get_ref: free page")
-    (fun () -> Memory.Page.get_ref p);
+    (fun () -> Memory.Phys_mem.get_ref m 0);
   Alcotest.check_raises "release free" (Invalid_argument "Page.release: page not owned")
-    (fun () -> Memory.Page.release p);
-  Memory.Page.set_owned p 1;
-  Alcotest.check_raises "double own" (Invalid_argument "Page.set_owned: page not free")
-    (fun () -> Memory.Page.set_owned p 2);
+    (fun () -> Memory.Phys_mem.free m 0);
+  let p = alloc1 m ~owner:1 in
   Alcotest.check_raises "put at zero" (Invalid_argument "Page.put_ref: refcount already zero")
-    (fun () -> ignore (Memory.Page.put_ref p))
+    (fun () -> Memory.Phys_mem.put_ref m p)
 
 let prop_page_refcount_balance =
   QCheck.Test.make ~name:"balanced get/put leaves refcount zero" ~count:100
     QCheck.(int_range 0 50)
     (fun n ->
-      let p = Memory.Page.create ~pfn:0 in
-      Memory.Page.set_owned p 1;
-      for _ = 1 to n do Memory.Page.get_ref p done;
-      for _ = 1 to n do ignore (Memory.Page.put_ref p) done;
-      Memory.Page.refcount p = 0)
+      let m = small () in
+      let p = alloc1 m ~owner:1 in
+      for _ = 1 to n do Memory.Phys_mem.get_ref m p done;
+      for _ = 1 to n do Memory.Phys_mem.put_ref m p done;
+      Memory.Phys_mem.refcount m p = 0)
 
 (* ---------- Phys_mem ---------- *)
 
@@ -169,7 +178,7 @@ let test_mem_bounds () =
     (Invalid_argument "Phys_mem: address range out of bounds") (fun () ->
       ignore (Memory.Phys_mem.read m ~addr:(64 * 4096 - 4) ~len:8));
   Alcotest.check_raises "bad pfn" (Invalid_argument "Phys_mem.page: pfn out of range")
-    (fun () -> ignore (Memory.Phys_mem.page m 64))
+    (fun () -> ignore (Memory.Phys_mem.state m 64))
 
 let test_mem_transfer () =
   let m = mem () in
@@ -186,6 +195,153 @@ let prop_mem_alloc_disjoint =
       let pa = Result.get_ok (Memory.Phys_mem.alloc m ~owner:1 ~count:a) in
       let pb = Result.get_ok (Memory.Phys_mem.alloc m ~owner:2 ~count:b) in
       List.for_all (fun p -> not (List.mem p pb)) pa)
+
+(* ---------- Allocator/ownership model equivalence (qcheck) ----------
+
+   The allocator and the ownership/pin state machine against an in-test
+   reference: one record per page and a LIFO free list of pfns, seeded
+   with [0 .. n-1] in ascending order. Random op sequences, invalid ones
+   included, run against both; after every step the returned pfn lists
+   (same pfns, same order), the raised exceptions, every page's state,
+   refcount and owner, and the free count must agree. *)
+
+type ref_state = R_free | R_owned of int | R_quarantined of int
+type ref_page = { mutable rs : ref_state; mutable rc : int }
+
+type ref_mem = {
+  rpages : ref_page array;
+  mutable rfree : int list;
+  mutable rnfree : int;
+}
+
+let ref_create n =
+  {
+    rpages = Array.init n (fun _ -> { rs = R_free; rc = 0 });
+    rfree = List.init n Fun.id;
+    rnfree = n;
+  }
+
+let ref_page r pfn =
+  if pfn < 0 || pfn >= Array.length r.rpages then
+    invalid_arg "Phys_mem.page: pfn out of range";
+  r.rpages.(pfn)
+
+let ref_reclaim r pfn =
+  r.rfree <- pfn :: r.rfree;
+  r.rnfree <- r.rnfree + 1
+
+let ref_alloc r ~owner ~count =
+  if count < 0 then invalid_arg "Phys_mem.alloc: negative count";
+  if count > r.rnfree then Error `Out_of_memory
+  else begin
+    let taken = List.filteri (fun i _ -> i < count) r.rfree in
+    r.rfree <- List.filteri (fun i _ -> i >= count) r.rfree;
+    r.rnfree <- r.rnfree - count;
+    List.iter (fun pfn -> (ref_page r pfn).rs <- R_owned owner) taken;
+    Ok taken
+  end
+
+let ref_free r pfn =
+  let p = ref_page r pfn in
+  match p.rs with
+  | R_owned d -> if p.rc = 0 then (p.rs <- R_free; ref_reclaim r pfn) else p.rs <- R_quarantined d
+  | R_free | R_quarantined _ -> invalid_arg "Page.release: page not owned"
+
+let ref_transfer r pfn ~to_ =
+  let p = ref_page r pfn in
+  match p.rs with
+  | R_owned _ -> if p.rc > 0 then Error `Pinned else (p.rs <- R_owned to_; Ok ())
+  | R_free | R_quarantined _ -> invalid_arg "Page.transfer: page not owned"
+
+let ref_get_ref r pfn =
+  let p = ref_page r pfn in
+  match p.rs with
+  | R_free -> invalid_arg "Page.get_ref: free page"
+  | R_owned _ | R_quarantined _ -> p.rc <- p.rc + 1
+
+let ref_put_ref r pfn =
+  let p = ref_page r pfn in
+  if p.rc <= 0 then invalid_arg "Page.put_ref: refcount already zero";
+  p.rc <- p.rc - 1;
+  match p.rs with
+  | R_quarantined _ when p.rc = 0 -> p.rs <- R_free; ref_reclaim r pfn
+  | R_free | R_owned _ | R_quarantined _ -> ()
+
+let ref_owned_by r pfn dom =
+  pfn >= 0 && pfn < Array.length r.rpages
+  && (match r.rpages.(pfn).rs with R_owned d -> d = dom | _ -> false)
+
+let page_state m pfn =
+  match Memory.Phys_mem.state m pfn with
+  | Memory.Phys_mem.Free -> R_free
+  | Memory.Phys_mem.Owned d -> R_owned d
+  | Memory.Phys_mem.Quarantined d -> R_quarantined d
+
+let page_refcount = Memory.Phys_mem.refcount
+
+(* One observable outcome per op: the pfn list, a unit/pinned result, or
+   the [Invalid_argument] message. *)
+type outcome = Pfns of int list | Oom | Unit | Pinned | Invalid of string
+
+let outcome f =
+  match f () with v -> v | exception Invalid_argument msg -> Invalid msg
+
+let model_mem_pages = 12
+let model_owners = [ -1; 0; 1; 2 ]
+
+let model_op_gen =
+  QCheck.(
+    triple (int_range 0 4)
+      (int_range (-1) model_mem_pages)
+      (int_range (-1) (model_mem_pages + 2)))
+
+let prop_alloc_model_equiv =
+  QCheck.Test.make ~name:"allocator and ownership match the free-list model"
+    ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 60) model_op_gen)
+    (fun ops ->
+      let m = Memory.Phys_mem.create ~total_pages:model_mem_pages () in
+      let r = ref_create model_mem_pages in
+      let owner_of a = List.nth model_owners ((a + 1) mod List.length model_owners) in
+      let unit_or_pinned = function Ok () -> Unit | Error `Pinned -> Pinned in
+      let pfns_or_oom = function Ok l -> Pfns l | Error `Out_of_memory -> Oom in
+      List.for_all
+        (fun (sel, pfn, n) ->
+          let got, want =
+            match sel with
+            | 0 ->
+                let owner = owner_of pfn in
+                ( outcome (fun () -> pfns_or_oom (Memory.Phys_mem.alloc m ~owner ~count:n)),
+                  outcome (fun () -> pfns_or_oom (ref_alloc r ~owner ~count:n)) )
+            | 1 ->
+                ( outcome (fun () -> Memory.Phys_mem.free m pfn; Unit),
+                  outcome (fun () -> ref_free r pfn; Unit) )
+            | 2 ->
+                let to_ = owner_of n in
+                ( outcome (fun () -> unit_or_pinned (Memory.Phys_mem.transfer m pfn ~to_)),
+                  outcome (fun () -> unit_or_pinned (ref_transfer r pfn ~to_)) )
+            | 3 ->
+                ( outcome (fun () -> Memory.Phys_mem.get_ref m pfn; Unit),
+                  outcome (fun () -> ref_get_ref r pfn; Unit) )
+            | _ ->
+                ( outcome (fun () -> Memory.Phys_mem.put_ref m pfn; Unit),
+                  outcome (fun () -> ref_put_ref r pfn; Unit) )
+          in
+          got = want
+          && Memory.Phys_mem.free_pages m = r.rnfree
+          && List.for_all
+               (fun pfn ->
+                 let rp = r.rpages.(pfn) in
+                 page_state m pfn = rp.rs
+                 && page_refcount m pfn = rp.rc
+                 && List.for_all
+                      (fun d -> Memory.Phys_mem.owned_by m pfn d = ref_owned_by r pfn d)
+                      model_owners)
+               (List.init model_mem_pages Fun.id)
+          && List.for_all
+               (fun pfn -> not (Memory.Phys_mem.owned_by m pfn 0))
+               [ -1; model_mem_pages ])
+        ops)
 
 (* ---------- Flat-backing equivalence (qcheck) ----------
 
@@ -548,6 +704,7 @@ let suite =
         Alcotest.test_case "zero-alloc accessors" `Quick
           test_mem_zero_alloc_accessors;
         qcheck prop_mem_alloc_disjoint;
+        qcheck prop_alloc_model_equiv;
         qcheck prop_mem_model_equiv;
         qcheck prop_mem_read_into_equiv;
         qcheck prop_mem_uint_widths;

@@ -73,8 +73,8 @@ let test_domain_alloc_free () =
 
 let test_domain_pages_sorted () =
   (* [pages] must come back in ascending pfn order regardless of the
-     page-set hashtable's bucket layout: downstream fan-outs (grant
-     sweeps, teardown) iterate it and must be deterministic. *)
+     order the allocator handed the pages out in: downstream fan-outs
+     (grant sweeps, teardown) iterate it and must be deterministic. *)
   let _, _, _, _, hyp = fixture () in
   let d =
     Xen.Hypervisor.create_domain hyp ~name:"g" ~kind:Xen.Domain.Guest
@@ -85,6 +85,52 @@ let test_domain_pages_sorted () =
   check_int "count" 97 (List.length ps);
   check_bool "ascending" true
     (List.for_all2 ( < ) ps (List.tl ps @ [ max_int ]))
+
+let test_domain_accounting () =
+  (* A domain's pages are exactly what the allocator says it owns: a page
+     freed while pinned (quarantined) belongs to nobody, and grant flips
+     move pages between the two views in both directions. *)
+  let _, _, _, mem, hyp = fixture ~total_pages:64 () in
+  let mk name =
+    Xen.Hypervisor.create_domain hyp ~name ~kind:Xen.Domain.Guest ~weight:256
+      ~mem_pages:8
+  in
+  let a = mk "a" and b = mk "b" in
+  let owned d =
+    List.filter
+      (fun pfn -> Memory.Phys_mem.owned_by mem pfn (Xen.Domain.id d))
+      (List.init 64 Fun.id)
+  in
+  let agrees label d =
+    check (Alcotest.list Alcotest.int) label (owned d) (Xen.Domain.pages d);
+    check_int (label ^ " count") (List.length (owned d)) (Xen.Domain.page_count d)
+  in
+  let pinned = List.hd (Xen.Domain.pages a) in
+  Memory.Phys_mem.get_ref mem pinned;
+  Xen.Hypervisor.free_page hyp a pinned;
+  check_bool "quarantined" true
+    (Memory.Phys_mem.state mem pinned = Memory.Phys_mem.Quarantined (Xen.Domain.id a));
+  check_bool "in neither domain" false
+    (List.mem pinned (Xen.Domain.pages a) || List.mem pinned (Xen.Domain.pages b));
+  check_int "a shrank" 7 (Xen.Domain.page_count a);
+  check_int "b untouched" 8 (Xen.Domain.page_count b);
+  let gnt = Xen.Grant_table.create hyp in
+  let flip ~src ~dst p =
+    check_bool "flip ok" true (Xen.Grant_table.flip gnt ~src ~dst p = Ok ())
+  in
+  flip ~src:a ~dst:b (List.nth (Xen.Domain.pages a) 2);
+  flip ~src:b ~dst:a (List.nth (Xen.Domain.pages b) 5);
+  flip ~src:b ~dst:a (List.hd (Xen.Domain.pages b));
+  agrees "a after flips" a;
+  agrees "b after flips" b;
+  check_int "a's count" 8 (Xen.Domain.page_count a);
+  check_int "b's count" 7 (Xen.Domain.page_count b);
+  (* The last unpin reclaims the page; the next allocation reuses it. *)
+  Memory.Phys_mem.put_ref mem pinned;
+  check (Alcotest.list Alcotest.int) "reclaimed page reused" [ pinned ]
+    (Xen.Hypervisor.alloc_pages hyp b 1);
+  agrees "a at the end" a;
+  agrees "b at the end" b
 
 (* ---------- Work posting ---------- *)
 
@@ -267,6 +313,7 @@ let suite =
         Alcotest.test_case "out of memory" `Quick test_domain_oom;
         Alcotest.test_case "alloc/free" `Quick test_domain_alloc_free;
         Alcotest.test_case "pages sorted" `Quick test_domain_pages_sorted;
+        Alcotest.test_case "accounting" `Quick test_domain_accounting;
       ] );
     ( "xen.hypervisor",
       [
