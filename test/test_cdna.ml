@@ -770,6 +770,42 @@ let test_enqueue_call_accounting () =
   | Error _ -> Alcotest.fail "enqueue failed");
   check_int "two hypercalls" 2 (Cdna.Hyp.enqueue_calls fx.cdna)
 
+(* Both ring drivers reject slot counts that are not a power of two in
+   [2, 256], tx checked before rx, with messages naming the driver. *)
+let test_drivers_reject_bad_slot_counts () =
+  let fx = fixture () in
+  let h = assign fx ~mac_idx:1 () in
+  let costs = Guestos.Os_costs.default in
+  let native ~tx_slots ~rx_slots () =
+    ignore
+      (Guestos.Native_driver.create ~mem:fx.mem
+         ~post_kernel:(fun ~cost:_ _ -> ())
+         ~costs ~hw:(Cdna.Hyp.driver_if h) ~mac:(Ethernet.Mac_addr.make 1)
+         ~alloc_pages:(fun n -> Xen.Hypervisor.alloc_pages fx.xen fx.guest n)
+         ~tx_slots ~rx_slots ())
+  in
+  let cdna ~tx_slots ~rx_slots () =
+    ignore (Cdna.Driver.create ~hyp:fx.cdna ~handle:h ~costs ~tx_slots ~rx_slots ())
+  in
+  List.iter
+    (fun (name, create) ->
+      let msg dir =
+        Invalid_argument
+          (Printf.sprintf "%s %s: slots must be a power of two in [2, 256]"
+             name dir)
+      in
+      List.iter
+        (fun bad ->
+          let label dir = Printf.sprintf "%s %s %d" name dir bad in
+          Alcotest.check_raises (label "tx") (msg "tx")
+            (create ~tx_slots:bad ~rx_slots:256);
+          Alcotest.check_raises (label "rx") (msg "rx")
+            (create ~tx_slots:256 ~rx_slots:bad);
+          Alcotest.check_raises (label "tx first") (msg "tx")
+            (create ~tx_slots:bad ~rx_slots:bad))
+        [ -4; 0; 1; 3; 6; 100; 257; 512 ])
+    [ ("Native_driver", native); ("Cdna.Driver", cdna) ]
+
 let test_context_migration () =
   (* Move a live guest from one CDNA NIC to another: revoke + reassign
      with the same MAC, driver rebinds, traffic resumes on the new link. *)
@@ -1149,6 +1185,8 @@ let suite =
           test_compact_layout_cdna_end_to_end;
         Alcotest.test_case "context migration" `Quick test_context_migration;
         Alcotest.test_case "enqueue accounting" `Quick test_enqueue_call_accounting;
+        Alcotest.test_case "bad slot counts rejected" `Quick
+          test_drivers_reject_bad_slot_counts;
       ] );
     ( "cdna.fault_injection",
       [

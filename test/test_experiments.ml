@@ -494,18 +494,15 @@ let read_file path =
 
 let test_golden_artifacts () =
   List.iter
-    (fun seed ->
-      let trace, metrics = Golden.traced_artifacts ~seed in
-      check_bool
-        (Printf.sprintf "trace for seed %d matches golden fixture" seed)
-        true
-        (String.equal trace (read_file (Printf.sprintf "golden/trace_seed%d.json" seed)));
-      check_bool
-        (Printf.sprintf "metrics for seed %d matches golden fixture" seed)
-        true
-        (String.equal metrics
-           (read_file (Printf.sprintf "golden/metrics_seed%d.json" seed))))
-    Golden.seeds
+    (fun run ->
+      List.iter
+        (fun (name, content) ->
+          check_bool
+            (Printf.sprintf "%s matches golden fixture" name)
+            true
+            (String.equal content (read_file (Filename.concat "golden" name))))
+        (Golden.artifacts run))
+    Golden.runs
 
 let suite =
   [
