@@ -4,46 +4,17 @@ type malice =
   | Over_length
 
 type t = {
+  ring : Ring_driver.t;
   mem : Memory.Phys_mem.t;
-  post_kernel : cost:Sim.Time.t -> (unit -> unit) -> unit;
-  costs : Os_costs.t;
-  hw : Nic.Driver_if.t;
-  materialize : bool;
   sg_split : int option;
-  tx_slots : int;
-  rx_slots : int;
   tx_ring : Nic.Ring.t;
   rx_ring : Nic.Ring.t;
-  tx_pages : Memory.Addr.pfn array;
-  rx_pages : Memory.Addr.pfn array;
-  mutable tx_prod : int;
-  mutable tx_cons_seen : int;
-  mutable rx_prod : int;
-  pending : Ethernet.Frame.t Queue.t;
-  (* Reused staging buffer for generating spec-only payloads into DMA
-     pages; [Phys_mem.write_sub] copies synchronously. *)
-  mutable scratch : Bytes.t;
-  mutable was_full : bool;
-  mutable poll_scheduled : bool;
-  mutable netdev : Netdev.t option;
-  mutable tx_count : int;
-  mutable rx_count : int;
-  mutable polls : int;
   mutable malice : (malice * int) option; (* kind, every nth packet *)
   mutable malice_seen : int;
   mutable malicious_descs : int;
 }
 
 let page_addr pfn = Memory.Addr.base_of_pfn pfn
-
-let check_slots name n =
-  if n < 2 || n > 256 || n land (n - 1) <> 0 then
-    invalid_arg (name ^ ": slots must be a power of two in [2, 256]")
-
-let tx_in_flight t = t.tx_prod - t.tx_cons_seen
-let ring_space t = t.tx_slots - tx_in_flight t
-let tx_space t = max 0 (ring_space t - Queue.length t.pending)
-let the_netdev t = Option.get t.netdev
 
 (* Descriptors a packet occupies under the configured scatter/gather
    policy. *)
@@ -53,26 +24,13 @@ let descs_per_packet t frame =
   | Some _ | None -> 1
 
 let write_tx_descriptor t frame =
-  let pfn = t.tx_pages.(t.tx_prod land (t.tx_slots - 1)) in
+  let r = t.ring in
+  let base = Ring_driver.tx_page r r.tx_prod in
   let len = frame.Ethernet.Frame.payload_len in
-  if t.materialize then begin
-    let addr = page_addr pfn in
-    match frame.Ethernet.Frame.data with
-    | Some d ->
-        (Memory.Phys_mem.write t.mem ~addr d
-        [@cdna.protection_ok
-          "native (non-virtualized) baseline: the OS owns all memory and \
-           writes its own DMA buffers directly"])
-    | None ->
-        if Bytes.length t.scratch < len then
-          t.scratch <- Bytes.create (max len 2048);
-        Ethernet.Frame.blit_payload ~seed:frame.Ethernet.Frame.payload_seed
-          ~len t.scratch ~pos:0;
-        (Memory.Phys_mem.write_sub t.mem ~addr t.scratch ~pos:0 ~len
-        [@cdna.protection_ok
-          "native (non-virtualized) baseline: the OS owns all memory and \
-           writes its own DMA buffers directly"])
-  end;
+  (Netdev.write_payload r.payload ~addr:base frame
+  [@cdna.protection_ok
+    "native (non-virtualized) baseline: the OS owns all memory and writes \
+     its own DMA buffers directly"]);
   let evil =
     match t.malice with
     | None -> None
@@ -81,10 +39,10 @@ let write_tx_descriptor t frame =
         if t.malice_seen mod every = 0 then Some kind else None
   in
   let emit ~offset ~len ~eop =
-    let slot = t.tx_prod in
+    let slot = r.tx_prod in
     let desc =
       {
-        Memory.Dma_desc.addr = page_addr pfn + offset;
+        Memory.Dma_desc.addr = base + offset;
         len;
         flags = (if eop then Memory.Dma_desc.flag_end_of_packet else 0);
         seqno = slot land 0xFFFF;
@@ -104,10 +62,10 @@ let write_tx_descriptor t frame =
               { desc with Memory.Dma_desc.len = (4 * Memory.Addr.page_size) + 512 })
       | Some _ | None -> desc
     in
-    Memory.Desc_layout.write t.hw.Nic.Driver_if.desc_layout t.mem
+    Memory.Desc_layout.write r.hw.Nic.Driver_if.desc_layout t.mem
       ~at:(Nic.Ring.slot_addr t.tx_ring slot)
       desc;
-    t.tx_prod <- slot + 1
+    r.tx_prod <- slot + 1
   in
   (match t.sg_split with
   | Some split when len > split ->
@@ -116,175 +74,82 @@ let write_tx_descriptor t frame =
       emit ~offset:0 ~len:split ~eop:false;
       emit ~offset:split ~len:(len - split) ~eop:true
   | Some _ | None -> emit ~offset:0 ~len ~eop:true);
-  t.hw.Nic.Driver_if.stage_tx_meta frame
+  r.hw.Nic.Driver_if.stage_tx_meta frame
 
 (* Move queued frames into ring slots and ring the doorbell once. *)
-let pump_tx t =
+let pump_tx t () =
+  let r = t.ring in
+  let pending = Netdev.pending r.dev in
   let moved = ref 0 in
   while
-    (match Queue.peek_opt t.pending with
-    | Some frame -> ring_space t >= descs_per_packet t frame
+    (match Queue.peek_opt pending with
+    | Some frame -> Ring_driver.tx_room r >= descs_per_packet t frame
     | None -> false)
   do
-    write_tx_descriptor t (Queue.pop t.pending);
+    write_tx_descriptor t (Queue.pop pending);
     incr moved
   done;
-  if !moved > 0 then t.hw.Nic.Driver_if.tx_doorbell t.tx_prod;
-  if t.was_full && tx_space t > 0 then begin
-    t.was_full <- false;
-    Netdev.notify_writable (the_netdev t)
-  end
+  if !moved > 0 then r.hw.Nic.Driver_if.tx_doorbell r.tx_prod;
+  Netdev.wake_if_writable r.dev
 
-let post_rx_descriptor t =
-  let slot = t.rx_prod in
-  let pfn = t.rx_pages.(slot land (t.rx_slots - 1)) in
-  let desc =
-    {
-      Memory.Dma_desc.addr = page_addr pfn;
-      len = Memory.Addr.page_size;
-      flags = 0;
-      seqno = slot land 0xFFFF;
-    }
-  in
-  Memory.Desc_layout.write t.hw.Nic.Driver_if.desc_layout t.mem
-    ~at:(Nic.Ring.slot_addr t.rx_ring slot)
-    desc;
-  t.rx_prod <- slot + 1
-
-(* Read the received payload back out of the DMA buffer so that memory
-   corruption (e.g. protection violations) is observable end to end. *)
-let frame_from_buffer t (idx, frame) =
-  if not t.materialize then frame
-  else begin
-    let pfn = t.rx_pages.(idx land (t.rx_slots - 1)) in
-    let len = frame.Ethernet.Frame.payload_len in
-    let data =
-      (Memory.Phys_mem.read t.mem ~addr:(page_addr pfn) ~len
-      [@cdna.protection_ok
-        "native (non-virtualized) baseline: the OS owns all memory and \
-         reads its own DMA buffers directly"])
+(* Post [n] receive buffers and ring the doorbell once. *)
+let repost_rx t n =
+  let r = t.ring in
+  for _ = 1 to n do
+    let slot = r.rx_prod in
+    let desc =
+      {
+        Memory.Dma_desc.addr = Ring_driver.rx_page r slot;
+        len = Memory.Addr.page_size;
+        flags = 0;
+        seqno = slot land 0xFFFF;
+      }
     in
-    { frame with Ethernet.Frame.data = Some data }
-  end
-
-let rec poll t () =
-  t.polls <- t.polls + 1;
-  t.poll_scheduled <- false;
-  let tx_done = t.hw.Nic.Driver_if.take_tx_completions () in
-  let rxs =
-    t.hw.Nic.Driver_if.take_rx_completions ~max:t.costs.Os_costs.rx_poll_budget
-  in
-  let n_rx = List.length rxs in
-  let cost = Sim.Time.mul_int t.costs.Os_costs.driver_rx_per_pkt n_rx in
-  t.post_kernel ~cost (fun () ->
-      if tx_done > 0 then begin
-        t.tx_cons_seen <- t.tx_cons_seen + tx_done;
-        t.tx_count <- t.tx_count + tx_done;
-        pump_tx t;
-        Netdev.notify_tx_done (the_netdev t) tx_done
-      end;
-      if n_rx > 0 then begin
-        let frames = List.map (frame_from_buffer t) rxs in
-        List.iter (fun _ -> post_rx_descriptor t) frames;
-        t.hw.Nic.Driver_if.rx_doorbell t.rx_prod;
-        t.rx_count <- t.rx_count + n_rx;
-        Netdev.deliver_rx (the_netdev t) frames
-      end;
-      (* NAPI: keep polling while the device has more work. *)
-      if
-        t.hw.Nic.Driver_if.rx_completions_pending () > 0
-        && not t.poll_scheduled
-      then begin
-        t.poll_scheduled <- true;
-        t.post_kernel ~cost:t.costs.Os_costs.driver_wakeup_fixed (poll t)
-      end)
-
-let handle_interrupt t =
-  if not t.poll_scheduled then begin
-    t.poll_scheduled <- true;
-    t.post_kernel ~cost:t.costs.Os_costs.driver_wakeup_fixed (poll t)
-  end
-
-let send_impl t frames =
-  let n = List.length frames in
-  if n > 0 then begin
-    let cost = Sim.Time.mul_int t.costs.Os_costs.driver_tx_per_pkt n in
-    t.post_kernel ~cost (fun () ->
-        List.iter (fun f -> Queue.push f t.pending) frames;
-        pump_tx t;
-        if not (Queue.is_empty t.pending) then t.was_full <- true)
-  end
+    Memory.Desc_layout.write r.hw.Nic.Driver_if.desc_layout t.mem
+      ~at:(Nic.Ring.slot_addr t.rx_ring slot)
+      desc;
+    r.rx_prod <- slot + 1
+  done;
+  r.hw.Nic.Driver_if.rx_doorbell r.rx_prod
 
 let create ~mem ~post_kernel ~costs ~hw ~mac ~alloc_pages ?(tx_slots = 256)
     ?(rx_slots = 256) ?(materialize = false) ?sg_split () =
   (match sg_split with
   | Some n when n <= 0 -> invalid_arg "Native_driver: non-positive sg_split"
   | Some _ | None -> ());
-  check_slots "Native_driver tx" tx_slots;
-  check_slots "Native_driver rx" rx_slots;
-  let page1 l = match l with [ p ] -> p | _ -> assert false in
-  let tx_ring_page = page1 (alloc_pages 1) in
-  let rx_ring_page = page1 (alloc_pages 1) in
-  let status_page = page1 (alloc_pages 1) in
-  let tx_pages = Array.of_list (alloc_pages tx_slots) in
-  let rx_pages = Array.of_list (alloc_pages rx_slots) in
-  let desc_bytes = hw.Nic.Driver_if.desc_layout.Memory.Desc_layout.size in
-  let tx_ring =
-    Nic.Ring.create ~base:(page_addr tx_ring_page) ~slots:tx_slots ~desc_bytes ()
+  let ring =
+    Ring_driver.create ~name:"Native_driver" ~mac ~post_kernel ~costs ~mem
+      ~materialize ~hw ~alloc_pages ~tx_slots ~rx_slots
   in
-  let rx_ring =
-    Nic.Ring.create ~base:(page_addr rx_ring_page) ~slots:rx_slots ~desc_bytes ()
+  let desc_bytes = hw.Nic.Driver_if.desc_layout.Memory.Desc_layout.size in
+  let ring_at pfn slots =
+    Nic.Ring.create ~base:(page_addr pfn) ~slots ~desc_bytes ()
   in
   let t =
     {
+      ring;
       mem;
-      post_kernel;
-      costs;
-      hw;
-      materialize;
       sg_split;
-      tx_slots;
-      rx_slots;
-      tx_ring;
-      rx_ring;
-      tx_pages;
-      rx_pages;
-      tx_prod = 0;
-      tx_cons_seen = 0;
-      rx_prod = 0;
-      pending = Queue.create ();
-      scratch = Bytes.empty;
-      was_full = false;
-      poll_scheduled = false;
-      netdev = None;
-      tx_count = 0;
-      rx_count = 0;
-      polls = 0;
+      tx_ring = ring_at ring.tx_ring_page tx_slots;
+      rx_ring = ring_at ring.rx_ring_page rx_slots;
       malice = None;
       malice_seen = 0;
       malicious_descs = 0;
     }
   in
-  let netdev =
-    Netdev.create ~mac
-      ~send:(fun frames -> send_impl t frames)
-      ~tx_space:(fun () -> tx_space t)
-  in
-  t.netdev <- Some netdev;
+  Ring_driver.attach ring ~pump:(pump_tx t) ~repost_rx:(repost_rx t);
   (* Program the hardware and post the full complement of rx buffers. *)
-  hw.Nic.Driver_if.setup_tx_ring tx_ring;
-  hw.Nic.Driver_if.setup_rx_ring rx_ring;
-  hw.Nic.Driver_if.setup_status (page_addr status_page);
-  for _ = 1 to rx_slots do
-    post_rx_descriptor t
-  done;
-  hw.Nic.Driver_if.rx_doorbell t.rx_prod;
+  hw.Nic.Driver_if.setup_tx_ring t.tx_ring;
+  hw.Nic.Driver_if.setup_rx_ring t.rx_ring;
+  hw.Nic.Driver_if.setup_status (page_addr ring.status_page);
+  Ring_driver.bring_up ring;
   t
 
-let netdev t = the_netdev t
-let tx_count t = t.tx_count
-let rx_count t = t.rx_count
-let polls t = t.polls
+let netdev t = t.ring.dev
+let handle_interrupt t = Ring_driver.handle_interrupt t.ring
+let tx_count t = t.ring.tx_count
+let rx_count t = t.ring.rx_count
+let polls t = t.ring.polls
 
 let set_malice t ?(every = 1) kind =
   if every < 1 then invalid_arg "Native_driver.set_malice: every must be >= 1";

@@ -7,9 +7,8 @@
     batching. The NIC is fully trusted with the physical addresses it is
     given — the trust relationship the CDNA design replaces for guests.
 
-    Per ring slot the driver owns one page of buffer memory; payload bytes
-    are really written to (tx) and read from (rx) those pages when the NIC
-    materializes payloads. *)
+    Rings, buffer pages (payload bytes really staged and read back when
+    materialized) and the poll loop are the shared {!Ring_driver}. *)
 
 type t
 
@@ -55,17 +54,16 @@ val create :
 (** The stack-facing device. *)
 val netdev : t -> Netdev.t
 
-(** Entry point for the (virtual or physical) interrupt: schedules a poll
-    if one is not already pending. Safe to call from any context. *)
+(** (Virtual or physical) interrupt entry: schedules a poll unless one is
+    pending ({!Ring_driver.handle_interrupt}). Safe from any context. *)
 val handle_interrupt : t -> unit
 
-(** Frames fully transmitted / received so far. *)
+(** Transmit descriptors the NIC completed (two per packet under
+    [sg_split]) / frames received, as taken by polls. *)
 val tx_count : t -> int
-
 val rx_count : t -> int
 
-(** Number of polls executed (diagnostic; relates interrupt rate to
-    batching). *)
+(** Polls executed (relates interrupt rate to batching). *)
 val polls : t -> int
 
 (** [set_malice t ?every (Some kind)] corrupts the end-of-packet transmit

@@ -45,15 +45,11 @@ type t = {
   dom : Xen.Domain.t;
   costs : costs;
   mutable ring_rr : int; (* rotating start for fair ring service *)
-  materialize : bool;
-  mem : Memory.Phys_mem.t;
+  payload : Netdev.payload;
   bridge : port_target Bridge.t;
   mutable ifaces : (iface * port_target Bridge.port) list;
   mutable phys : (Netdev.t * port_target Bridge.port) list;
   pool : Memory.Addr.pfn Queue.t;
-  (* Reused staging buffer for generating spec-only payloads into
-     exchange pages; [Phys_mem.write_sub] copies synchronously. *)
-  mutable scratch : Bytes.t;
   rx_inbox : (port_target Bridge.port * Ethernet.Frame.t) Queue.t;
   mutable scheduled : bool;
   mutable tx_forwarded : int;
@@ -73,14 +69,12 @@ let create ~hyp ~gnt ~dom ~costs ?(pool_pages = 4096) ?(materialize = false)
     gnt;
     dom;
     costs;
-    materialize;
-    mem = Xen.Hypervisor.mem hyp;
+    payload = Netdev.payload (Xen.Hypervisor.mem hyp) ~materialize;
     ring_rr = 0;
     bridge = Bridge.create ();
     ifaces = [];
     phys = [];
     pool;
-    scratch = Bytes.empty;
     rx_inbox = Queue.create ();
     scheduled = false;
     tx_forwarded = 0;
@@ -351,26 +345,11 @@ and apply t c =
           (* Exchange pool empty; hold the frame for the next run. *)
           Queue.push frame iface.overflow
       | Some pfn -> (
-          if t.materialize then begin
-            let addr = Memory.Addr.base_of_pfn pfn in
-            match frame.Ethernet.Frame.data with
-            | Some d ->
-                (Memory.Phys_mem.write t.mem ~addr d
-                [@cdna.protection_ok
-                  "driver-domain CPU store into its own exchange-pool page \
-                   before flipping it to the guest, not DMA"])
-            | None ->
-                let len = frame.Ethernet.Frame.payload_len in
-                if Bytes.length t.scratch < len then
-                  t.scratch <- Bytes.create (max len 2048);
-                Ethernet.Frame.blit_payload
-                  ~seed:frame.Ethernet.Frame.payload_seed ~len t.scratch
-                  ~pos:0;
-                (Memory.Phys_mem.write_sub t.mem ~addr t.scratch ~pos:0 ~len
-                [@cdna.protection_ok
-                  "driver-domain CPU store into its own exchange-pool page \
-                   before flipping it to the guest, not DMA"])
-          end;
+          (Netdev.write_payload t.payload ~addr:(Memory.Addr.base_of_pfn pfn)
+             frame
+          [@cdna.protection_ok
+            "driver-domain CPU store into its own exchange-pool page before \
+             flipping it to the guest, not DMA"]);
           match
             Xen.Grant_table.flip t.gnt ~src:t.dom ~dst:iface.guest_dom pfn
           with

@@ -5,65 +5,36 @@ type t = {
   costs : Os_costs.t;
   xchan : Xchan.t;
   notify_backend : unit -> unit;
-  materialize : bool;
-  mem : Memory.Phys_mem.t;
+  dev : Netdev.t;
+  payload : Netdev.payload;
   pool : Memory.Addr.pfn Queue.t;
-  pending : Ethernet.Frame.t Queue.t;
-  (* Reused staging buffer for generating spec-only payloads into pool
-     pages; [Phys_mem.write_sub] copies synchronously, so reuse is safe. *)
-  mutable scratch : Bytes.t;
-  mutable was_full : bool;
   mutable event_pending : bool;
-  mutable netdev : Netdev.t option;
   mutable tx_count : int;
   mutable rx_count : int;
 }
 
-let the_netdev t = Option.get t.netdev
-
 let post_kernel t ~cost fn = Xen.Hypervisor.kernel_work t.hyp t.dom ~cost fn
-
-(* Land a frame's payload in a pool page without allocating: frames that
-   carry bytes are written directly, spec-only frames are generated into
-   the reused scratch buffer first. *)
-let write_payload t ~addr frame =
-  match frame.Ethernet.Frame.data with
-  | Some d ->
-      (Memory.Phys_mem.write t.mem ~addr d
-      [@cdna.protection_ok
-        "guest CPU store into the guest's own granted pool page, not DMA"])
-  | None ->
-      let len = frame.Ethernet.Frame.payload_len in
-      if Bytes.length t.scratch < len then
-        t.scratch <- Bytes.create (max len 2048);
-      Ethernet.Frame.blit_payload ~seed:frame.Ethernet.Frame.payload_seed ~len
-        t.scratch ~pos:0;
-      (Memory.Phys_mem.write_sub t.mem ~addr t.scratch ~pos:0 ~len
-      [@cdna.protection_ok
-        "guest CPU store into the guest's own granted pool page, not DMA"])
-
-let tx_space t =
-  max 0
-    (min (Xchan.tx_space t.xchan) (Queue.length t.pool)
-    - Queue.length t.pending)
 
 (* Move pending frames onto the shared ring, attaching a pool page each,
    and kick the back end once per batch. Runs in guest kernel context. *)
-let pump t =
+let pump t () =
+  let pending = Netdev.pending t.dev in
   let pushed = ref 0 in
   let was_empty = Xchan.tx_used t.xchan = 0 in
   let continue = ref true in
   while
     !continue
-    && (not (Queue.is_empty t.pending))
+    && (not (Queue.is_empty pending))
     && Xchan.tx_space t.xchan > 0
   do
     match Queue.take_opt t.pool with
     | None -> continue := false
     | Some pfn ->
-        let frame = Queue.pop t.pending in
-        if t.materialize then
-          write_payload t ~addr:(Memory.Addr.base_of_pfn pfn) frame;
+        let frame = Queue.pop pending in
+        (Netdev.write_payload t.payload ~addr:(Memory.Addr.base_of_pfn pfn)
+           frame
+        [@cdna.protection_ok
+          "guest CPU store into the guest's own granted pool page, not DMA"]);
         ignore (Xchan.tx_push t.xchan { Xchan.frame; pfn });
         incr pushed
   done;
@@ -74,20 +45,7 @@ let pump t =
        requests on its next run. *)
     if was_empty then t.notify_backend ()
   end;
-  if t.was_full && tx_space t > 0 then begin
-    t.was_full <- false;
-    Netdev.notify_writable (the_netdev t)
-  end
-
-let send_impl t frames =
-  let n = List.length frames in
-  if n > 0 then begin
-    let cost = Sim.Time.mul_int t.costs.Os_costs.driver_tx_per_pkt n in
-    post_kernel t ~cost (fun () ->
-        List.iter (fun f -> Queue.push f t.pending) frames;
-        pump t;
-        if not (Queue.is_empty t.pending) then t.was_full <- true)
-  end
+  Netdev.wake_if_writable t.dev
 
 (* Event from netback: take completions (with replacement pages) and
    received packets, charge per-packet kernel time, return the receive
@@ -109,8 +67,8 @@ let rec handle_event t =
     post_kernel t ~cost (fun () ->
         List.iter (fun p -> Queue.push p t.pool) replacement_pages;
         if completed > 0 then begin
-          pump t;
-          Netdev.notify_tx_done (the_netdev t) completed
+          pump t ();
+          Netdev.notify_tx_done t.dev completed
         end;
         if n_rx > 0 then begin
           (* Flip the receive pages straight back to the driver domain to
@@ -135,22 +93,14 @@ let rec handle_event t =
           let frames =
             List.map
               (fun e ->
-                if t.materialize then begin
-                  let f = e.Xchan.frame in
-                  let data =
-                    (Memory.Phys_mem.read t.mem
-                       ~addr:(Memory.Addr.base_of_pfn e.Xchan.pfn)
-                       ~len:f.Ethernet.Frame.payload_len
-                    [@cdna.protection_ok
-                      "guest CPU load from a page the hypervisor just \
-                       flipped to this guest, not DMA"])
-                  in
-                  { f with Ethernet.Frame.data = Some data }
-                end
-                else e.Xchan.frame)
+                (Netdev.read_payload t.payload
+                   ~addr:(Memory.Addr.base_of_pfn e.Xchan.pfn) e.Xchan.frame
+                [@cdna.protection_ok
+                  "guest CPU load from a page the hypervisor just flipped \
+                   to this guest, not DMA"]))
               rxs
           in
-          Netdev.deliver_rx (the_netdev t) frames
+          Netdev.deliver_rx t.dev frames
         end;
         (* Continue draining if the ring still has packets. *)
         if Xchan.rx_used t.xchan > 0 && not t.event_pending then begin
@@ -172,27 +122,22 @@ let create ~hyp ~gnt ~dom ~costs ~xchan ~mac ~notify_backend
       costs;
       xchan;
       notify_backend;
-      materialize;
-      mem = Xen.Hypervisor.mem hyp;
+      dev =
+        Netdev.queued ~mac ~post_kernel:(Xen.Hypervisor.kernel_work hyp dom)
+          ~costs;
+      payload = Netdev.payload (Xen.Hypervisor.mem hyp) ~materialize;
       pool;
-      pending = Queue.create ();
-      scratch = Bytes.empty;
-      was_full = false;
       event_pending = false;
-      netdev = None;
       tx_count = 0;
       rx_count = 0;
     }
   in
-  let netdev =
-    Netdev.create ~mac
-      ~send:(fun frames -> send_impl t frames)
-      ~tx_space:(fun () -> tx_space t)
-  in
-  t.netdev <- Some netdev;
+  Netdev.attach t.dev
+    ~room:(fun () -> min (Xchan.tx_space xchan) (Queue.length pool))
+    ~pump:(pump t);
   t
 
-let netdev t = the_netdev t
+let netdev t = t.dev
 let dom t = t.dom
 let pool_size t = Queue.length t.pool
 let tx_count t = t.tx_count

@@ -34,11 +34,12 @@ val create :
 val netdev : t -> Netdev.t
 val dom : t -> Xen.Domain.t
 
-(** Bind as the handler of the guest's event channel from netback. Runs in
-    guest kernel context. *)
+(** Handler for netback's event channel; runs in guest kernel context. *)
 val handle_event : t -> unit
 
 val pool_size : t -> int
+
+(** Frames pushed onto the channel (not completions) / taken off it. *)
 val tx_count : t -> int
 val rx_count : t -> int
 

@@ -150,7 +150,9 @@ let ownership_fns =
       "Iommu.revoke_context";
     ]
 
-(* P2: direct byte access to simulated physical memory. *)
+(* P2: direct byte access to simulated physical memory, including the
+   guest driver core's payload staging and read-back, which do it on the
+   caller's behalf. *)
 let byte_access_fns =
   SSet.of_list
     [
@@ -158,6 +160,7 @@ let byte_access_fns =
       "Phys_mem.write_sub"; "Phys_mem.read_uint"; "Phys_mem.write_uint";
       "Phys_mem.read_u16"; "Phys_mem.write_u16"; "Phys_mem.read_u32";
       "Phys_mem.write_u32"; "Phys_mem.read_u64"; "Phys_mem.write_u64";
+      "Netdev.write_payload"; "Netdev.read_payload";
     ]
 
 (* Non-allocating primitives callable from hot code. *)

@@ -84,7 +84,27 @@ let test_prot_ownership_allowed_in_xen () =
 let test_prot_guest_mem () =
   check_rules "direct guest memory access" ~pretend_path:"lib/guestos/bad.ml"
     "prot_guest_mem.ml"
-    [ "P2-guest-memory-boundary"; "P2-guest-memory-boundary" ];
+    [
+      "P2-guest-memory-boundary"; "P2-guest-memory-boundary";
+      "P2-guest-memory-boundary";
+    ];
+  (* The driver core's staging helper is byte access like Phys_mem's. *)
+  let diags, _ =
+    lint_fixture ~pretend_path:"lib/guestos/bad.ml" "prot_guest_mem.ml"
+  in
+  Alcotest.(check (list (pair int string)))
+    "staging helper flagged"
+    [
+      ( 6,
+        "Netdev.write_payload bypasses DMA protection: lib/nic and \
+         lib/guestos must reach guest memory through Bus.Dma_engine (or \
+         justify with [@cdna.protection_ok])" );
+    ]
+    (List.filter_map
+       (fun d ->
+         if d.Cdna_lint.line = 6 then Some (d.Cdna_lint.line, d.Cdna_lint.msg)
+         else None)
+       diags);
   (* The same code outside the restricted layers is fine. *)
   let diags, _ =
     lint_fixture ~pretend_path:"lib/experiments/fine.ml" "prot_guest_mem.ml"

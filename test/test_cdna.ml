@@ -806,11 +806,8 @@ let test_drivers_reject_bad_slot_counts () =
         [ -4; 0; 1; 3; 6; 100; 257; 512 ])
     [ ("Native_driver", native); ("Cdna.Driver", cdna) ]
 
-let test_context_migration () =
-  (* Move a live guest from one CDNA NIC to another: revoke + reassign
-     with the same MAC, driver rebinds, traffic resumes on the new link. *)
-  let fx = fixture () in
-  (* A second NIC on its own link. *)
+(* A second CDNA NIC on its own link, as a migration target. *)
+let second_nic fx =
   let irq2 = Bus.Irq.create ~name:"cdna2" in
   let intr_page2 = List.hd (Xen.Hypervisor.alloc_hyp_pages fx.xen 1) in
   let nic2 =
@@ -822,6 +819,13 @@ let test_context_migration () =
   Cdna.Hyp.add_nic fx.cdna nic2;
   let link2 = Ethernet.Link.create fx.engine () in
   Cdna.Cnic.attach_link nic2 link2 ~side:Ethernet.Link.A;
+  (nic2, link2)
+
+let test_context_migration () =
+  (* Move a live guest from one CDNA NIC to another: revoke + reassign
+     with the same MAC, driver rebinds, traffic resumes on the new link. *)
+  let fx = fixture () in
+  let nic2, link2 = second_nic fx in
   let wire1 = ref 0 and wire2 = ref 0 in
   Ethernet.Link.attach fx.link Ethernet.Link.B (fun _ -> incr wire1);
   Ethernet.Link.attach link2 Ethernet.Link.B (fun _ -> incr wire2);
@@ -863,6 +867,68 @@ let test_context_migration () =
   check_int "after: traffic on link 2" 20 !wire2;
   check_int "after: link 1 silent" 20 !wire1;
   check_bool "no faults" true (Cdna.Hyp.faults fx.cdna = [])
+
+(* Frames still queued in the driver when it rebinds go out on the new
+   context as soon as it is up, without waiting for another send. Returns
+   the seqnos seen on the new link, in wire order. *)
+let rebind_with_queued_frames ~n ~before_migrate =
+  let fx = fixture () in
+  let nic2, link2 = second_nic fx in
+  let h = assign fx ~mac_idx:1 () in
+  let driver =
+    Cdna.Driver.create ~hyp:fx.cdna ~handle:h ~costs:Guestos.Os_costs.default ()
+  in
+  run fx 5;
+  let wire2 = ref [] in
+  Ethernet.Link.attach link2 Ethernet.Link.B (fun f ->
+      wire2 := f.Ethernet.Frame.seq :: !wire2);
+  let dev = Cdna.Driver.netdev driver in
+  Guestos.Netdev.send dev
+    (List.init n (fun i ->
+         Ethernet.Frame.make ~src:(Ethernet.Mac_addr.make 1)
+           ~dst:(Ethernet.Mac_addr.make 99) ~kind:Ethernet.Frame.Data ~flow:0
+           ~seq:i ~payload_len:800 ~payload_seed:i ()));
+  before_migrate fx h driver;
+  (match Cdna.Hyp.migrate fx.cdna h ~to_nic:nic2 with
+  | Ok h2 -> Cdna.Driver.rebind driver h2
+  | Error `No_free_context -> Alcotest.fail "migration failed");
+  run fx 20;
+  List.rev !wire2
+
+let test_rebind_sends_queued_frames () =
+  (* Migrate while the first enqueue hypercall is in flight: its batch is
+     lost with the old context, the frames behind it are not. *)
+  let batch = Guestos.Os_costs.default.Guestos.Os_costs.tx_batch_limit in
+  let seqs =
+    rebind_with_queued_frames ~n:100 ~before_migrate:(fun fx _ driver ->
+        (* The send's kernel work pops the first batch off the queue. *)
+        let dev = Cdna.Driver.netdev driver in
+        let calls = Cdna.Hyp.enqueue_calls fx.cdna in
+        while
+          Guestos.Netdev.tx_space dev = 256 && Sim.Engine.step fx.engine
+        do
+          ()
+        done;
+        check_int "first enqueue still in flight" calls
+          (Cdna.Hyp.enqueue_calls fx.cdna))
+  in
+  check (Alcotest.list Alcotest.int) "queued frames on the new link, in order"
+    (List.init (100 - batch) (fun i -> batch + i))
+    seqs
+
+let test_rebind_sends_requeued_batch () =
+  (* A revoke before the first enqueue runs makes it fail; the driver
+     requeues the batch, and the rebind must send it. *)
+  let errors = ref 0 in
+  let seqs =
+    rebind_with_queued_frames ~n:10 ~before_migrate:(fun fx h driver ->
+        Cdna.Hyp.revoke fx.cdna h;
+        run fx 5;
+        errors := Cdna.Driver.enqueue_errors driver)
+  in
+  check_int "enqueue rejected on the revoked context" 1 !errors;
+  check (Alcotest.list Alcotest.int) "all ten on the new link, in order"
+    (List.init 10 Fun.id) seqs
 
 (* ---------- Fault injection and recovery ---------- *)
 
@@ -1184,6 +1250,10 @@ let suite =
         Alcotest.test_case "compact layout end-to-end" `Quick
           test_compact_layout_cdna_end_to_end;
         Alcotest.test_case "context migration" `Quick test_context_migration;
+        Alcotest.test_case "rebind sends queued frames" `Quick
+          test_rebind_sends_queued_frames;
+        Alcotest.test_case "rebind sends requeued batch" `Quick
+          test_rebind_sends_requeued_batch;
         Alcotest.test_case "enqueue accounting" `Quick test_enqueue_call_accounting;
         Alcotest.test_case "bad slot counts rejected" `Quick
           test_drivers_reject_bad_slot_counts;
