@@ -76,8 +76,8 @@ let secret_len = 64
 (* Plant a recognizable secret in a victim-owned page. *)
 let plant_secret mem xen victim =
   let pfn = List.hd (Xen.Hypervisor.alloc_pages xen victim 1) in
-  let secret = Bytes.init secret_len (fun i -> Char.chr (0x41 + (i mod 26))) in
-  Memory.Phys_mem.write mem ~addr:(Memory.Addr.base_of_pfn pfn) secret;
+  let secret = String.init secret_len (fun i -> Char.chr (0x41 + (i mod 26))) in
+  Memory.Phys_mem.write_string mem ~addr:(Memory.Addr.base_of_pfn pfn) secret;
   (pfn, secret)
 
 let setup_attacker_context engine cdna nic xen attacker =
@@ -247,8 +247,8 @@ let () =
       | frame :: _ ->
           let leaked =
             match frame.Ethernet.Frame.data with
-            | Some data -> Bytes.equal data secret3
-            | None -> false
+            | Generated data | Other data -> String.equal data secret3
+            | Spec_only -> false
           in
           if leaked then
             print_endline

@@ -1,5 +1,7 @@
 type kind = Data | Ack of int
 
+type data = Spec_only | Generated of string | Other of string
+
 type t = {
   src : Mac_addr.t;
   dst : Mac_addr.t;
@@ -9,7 +11,7 @@ type t = {
   segments : int;
   payload_len : int;
   payload_seed : int;
-  data : Bytes.t option;
+  data : data;
 }
 
 let jumbo_limit = 9000
@@ -19,7 +21,7 @@ let make ~src ~dst ~kind ~flow ~seq ?(segments = 1) ~payload_len ~payload_seed
   if segments < 1 then invalid_arg "Frame.make: segments must be positive";
   if payload_len < 0 || payload_len > segments * jumbo_limit then
     invalid_arg "Frame.make: payload length out of range";
-  { src; dst; kind; flow; seq; segments; payload_len; payload_seed; data = None }
+  { src; dst; kind; flow; seq; segments; payload_len; payload_seed; data = Spec_only }
 
 (* xorshift-style byte stream; cheap and deterministic. All payload
    accessors below walk this one recurrence so the materialized, folded
@@ -53,13 +55,31 @@ let materialize_payload ~seed ~len =
   b
 
 let with_data t =
-  { t with data = Some (materialize_payload ~seed:t.payload_seed ~len:t.payload_len) }
+  let d = materialize_payload ~seed:t.payload_seed ~len:t.payload_len in
+  { t with data = Generated (Bytes.unsafe_to_string d) }
+
+let with_bytes t b = { t with data = Other b }
+
+let corrupt t =
+  let data =
+    match t.data with
+    | Spec_only -> Spec_only
+    | Generated d | Other d ->
+        Other
+          (String.mapi
+             (fun i c -> if i = 0 then Char.chr (Char.code c lxor 0x01) else c)
+             d)
+  in
+  { t with payload_seed = t.payload_seed lxor 0x5a5a; data }
 
 let data_valid t =
   match t.data with
-  | None -> true
-  | Some d ->
-      Bytes.length d = t.payload_len
+  | Spec_only -> true
+  (* [t] is immutable and only [with_data] builds [Generated], from this
+     very spec: the bytes cannot disagree with it. *)
+  | Generated d -> String.length d = t.payload_len
+  | Other d ->
+      String.length d = t.payload_len
       && begin
            (* Compare against the spec stream in place: no 1500 B scratch
               per verified packet. *)
@@ -68,7 +88,7 @@ let data_valid t =
            let i = ref 0 in
            while !ok && !i < t.payload_len do
              state := next_state !state;
-             if Char.code (Bytes.unsafe_get d !i) <> !state land 0xff then
+             if Char.code (String.unsafe_get d !i) <> !state land 0xff then
                ok := false;
              incr i
            done;

@@ -6,10 +6,14 @@
     two modes:
 
     - {b materialized}: [data] holds the actual bytes, which are DMAed
-      through simulated memory and verified with CRC-32 at the sink
-      (integrity tests, protection-fault demos);
+      through simulated memory and verified at the sink (integrity tests,
+      protection-fault demos);
     - {b spec-only}: only the spec travels (fast mode for long benchmark
       runs); sizes and timing are identical.
+
+    Payload bytes are immutable ([string]) and the record is [private]:
+    only this module builds frames, so a {!Generated} payload is exactly
+    the bytes its own spec defines, for as long as the frame exists.
 
     Wire accounting includes the 14-byte header, 4-byte FCS, and the
     preamble + inter-frame gap (20 bytes) for line-rate computations, so a
@@ -21,7 +25,17 @@ type kind =
   | Data  (** Workload payload frame. *)
   | Ack of int  (** Acknowledgement covering [n] payload frames. *)
 
-type t = {
+(** What the frame's payload bytes are. *)
+type data = private
+  | Spec_only  (** No bytes: the spec alone defines the payload. *)
+  | Generated of string
+      (** Generated from this frame's own spec by {!with_data}; valid by
+          construction. *)
+  | Other of string
+      (** Any other bytes: read back from memory, assembled by a NIC, or
+          forged. {!data_valid} checks them against the spec. *)
+
+type t = private {
   src : Mac_addr.t;
   dst : Mac_addr.t;
   kind : kind;
@@ -34,7 +48,7 @@ type t = {
           exactly what TCP segmentation offload buys. 1 = ordinary frame. *)
   payload_len : int;  (** Total payload bytes (excluding headers/FCS). *)
   payload_seed : int;  (** Seed defining payload contents. *)
-  data : Bytes.t option;  (** Materialized payload, if enabled. *)
+  data : data;  (** Materialized payload, if enabled. *)
 }
 
 (** [make ~src ~dst ~kind ~flow ~seq ~payload_len ~payload_seed ()] builds
@@ -64,11 +78,22 @@ val fold_payload : seed:int -> len:int -> ('a -> int -> 'a) -> 'a -> 'a
     {!materialize_payload}). @raise Invalid_argument on bad bounds. *)
 val blit_payload : seed:int -> len:int -> Bytes.t -> pos:int -> unit
 
-(** [with_data f] attaches the materialized payload. *)
+(** [with_data f] attaches the payload its spec generates, as
+    {!Generated}. *)
 val with_data : t -> t
 
-(** [data_valid f] checks [f.data] against the spec (true for spec-only
-    frames: nothing to contradict). *)
+(** [with_bytes f b] is [f] carrying [b] as {!Other} bytes. *)
+val with_bytes : t -> string -> t
+
+(** [corrupt f] keeps [f]'s size and headers but no longer matches its
+    payload: the seed is perturbed, and any bytes become {!Other} with one
+    bit flipped, so both {!data_valid} and {!payload_crc} expose the
+    damage (the link's [`Corrupt] tamper verdict). *)
+val corrupt : t -> t
+
+(** [data_valid f] checks [f.data] against the spec: true for spec-only
+    frames (nothing to contradict), a length check for {!Generated}
+    bytes, a byte-by-byte walk of the generator for {!Other} bytes. *)
 val data_valid : t -> bool
 
 (** Expected CRC-32 of the payload spec. *)

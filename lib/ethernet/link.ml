@@ -46,22 +46,6 @@ let direction_from t = function A -> t.to_b | B -> t.to_a
 
 let set_tamper t f = t.tamper <- f
 
-(* A corrupted frame keeps its size and headers (so demux and timing are
-   unchanged) but its payload no longer matches: the generator seed is
-   perturbed, and any materialized bytes get one bit flipped, so both
-   [Frame.data_valid] and [Frame.payload_crc] expose the damage. *)
-let corrupt frame =
-  let data =
-    match frame.Frame.data with
-    | None -> None
-    | Some d ->
-        let d = Bytes.copy d in
-        if Bytes.length d > 0 then
-          Bytes.set d 0 (Char.chr (Char.code (Bytes.get d 0) lxor 0x01));
-        Some d
-  in
-  { frame with Frame.payload_seed = frame.Frame.payload_seed lxor 0x5a5a; data }
-
 let send t ~from frame ~on_wire_free =
   let dir = direction_from t from in
   let now = Sim.Engine.now t.engine in
@@ -82,7 +66,7 @@ let send t ~from frame ~on_wire_free =
         match v with
         | `Corrupt ->
             t.corrupted <- t.corrupted + 1;
-            corrupt frame
+            Frame.corrupt frame
         | `Pass -> frame
       in
       let arrival = Sim.Time.add wire_free t.propagation in

@@ -45,9 +45,9 @@ type verdict = [ `Pass | `Drop | `Corrupt ]
 
 (** [set_tamper t (Some f)] consults [f] for every frame handed to
     {!send}. The frame always serializes (the sender pays wire time
-    either way); [`Drop] suppresses delivery, [`Corrupt] delivers a
-    same-size frame whose payload fails [Frame.data_valid] /
-    [Frame.payload_crc]. Typically [f] forwards to
+    either way); [`Drop] suppresses delivery, [`Corrupt] delivers
+    [Frame.corrupt frame]: same size, perturbed seed and, if it carries
+    bytes, a flipped bit. Typically [f] forwards to
     [Sim.Fault_inject.fire]. *)
 val set_tamper : t -> (Frame.t -> verdict) option -> unit
 

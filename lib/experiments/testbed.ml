@@ -17,6 +17,7 @@ type t = {
   cdna_hyp : Cdna.Hyp.t option;
   cdna_handles : Cdna.Hyp.ctx_handle list;
   netback : Guestos.Netback.t option;
+  links : Ethernet.Link.t array;
   nic_stats : unit -> Nic.Dp.stats list;
   nic_interrupts : unit -> int;
   start : unit -> unit;
@@ -514,6 +515,7 @@ let build (cfg : Config.t) =
     cdna_hyp;
     cdna_handles;
     netback;
+    links = b.links;
     nic_stats;
     nic_interrupts = nic_irqs;
     start;

@@ -42,6 +42,8 @@ type t = {
   cdna_hyp : Cdna.Hyp.t option;
   cdna_handles : Cdna.Hyp.ctx_handle list;
   netback : Guestos.Netback.t option;
+  links : Ethernet.Link.t array;
+      (** One wire per NIC: the NIC on side A, its {!Peer} on side B. *)
   nic_stats : unit -> Nic.Dp.stats list;
   nic_interrupts : unit -> int;  (** Physical interrupts raised by NICs. *)
   start : unit -> unit;  (** Arm the workload (peers + benchmark apps). *)

@@ -12,37 +12,43 @@ let payload mem ~materialize = { mem; materialize; scratch = Bytes.empty }
 (* Land a frame's payload in a buffer page without allocating: frames that
    carry bytes are written directly, spec-only frames are generated into
    the scratch buffer first. *)
-let write_payload p ~addr frame =
+let[@cdna.protection_ok
+     "CPU store into a buffer page the caller owns, not DMA; each caller \
+      in lib/nic and lib/guestos is P2-checked itself"] write_payload p
+    ~addr frame =
   if p.materialize then
     match frame.Ethernet.Frame.data with
-    | Some d ->
-        (Memory.Phys_mem.write p.mem ~addr d
-        [@cdna.protection_ok
-          "CPU store into a buffer page the caller owns, not DMA; each \
-           caller in lib/nic and lib/guestos is P2-checked itself"])
-    | None ->
+    | Generated d | Other d -> Memory.Phys_mem.write_string p.mem ~addr d
+    | Spec_only ->
         let len = frame.Ethernet.Frame.payload_len in
         if Bytes.length p.scratch < len then
           p.scratch <- Bytes.create (max len 2048);
         Ethernet.Frame.blit_payload ~seed:frame.Ethernet.Frame.payload_seed
           ~len p.scratch ~pos:0;
-        (Memory.Phys_mem.write_sub p.mem ~addr p.scratch ~pos:0 ~len
-        [@cdna.protection_ok
-          "CPU store into a buffer page the caller owns, not DMA; each \
-           caller in lib/nic and lib/guestos is P2-checked itself"])
+        Memory.Phys_mem.write_sub p.mem ~addr p.scratch ~pos:0 ~len
 
 (* Reading the bytes back, rather than trusting the frame record, makes
-   memory corruption (e.g. protection violations) observable end to end. *)
-let read_payload p ~addr frame =
+   memory corruption (e.g. protection violations) observable end to end.
+   Bytes are immutable, so when memory still holds exactly the frame's
+   bytes the frame itself is the read-back: compare, don't copy. Any
+   difference attaches a copy of memory as [Other] bytes, which the sink
+   checks against the spec. *)
+let[@cdna.protection_ok
+     "CPU load from a buffer page the caller owns, not DMA; each caller in \
+      lib/nic and lib/guestos is P2-checked itself"] read_payload p ~addr
+    frame =
   if not p.materialize then frame
   else
-    let data =
-      (Memory.Phys_mem.read p.mem ~addr ~len:frame.Ethernet.Frame.payload_len
-      [@cdna.protection_ok
-        "CPU load from a buffer page the caller owns, not DMA; each caller \
-         in lib/nic and lib/guestos is P2-checked itself"])
-    in
-    { frame with Ethernet.Frame.data = Some data }
+    let len = frame.Ethernet.Frame.payload_len in
+    match frame.Ethernet.Frame.data with
+    | (Generated d | Other d)
+      when String.length d = len && Memory.Phys_mem.equal_string p.mem ~addr d
+      ->
+        frame
+    | Spec_only | Generated _ | Other _ ->
+        (* A fresh copy, never aliased: freezing it is sound. *)
+        Ethernet.Frame.with_bytes frame
+          (Bytes.unsafe_to_string (Memory.Phys_mem.read p.mem ~addr ~len))
 
 type t = {
   mac : Ethernet.Mac_addr.t;

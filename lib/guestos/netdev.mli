@@ -85,7 +85,9 @@ val payload : Memory.Phys_mem.t -> materialize:bool -> payload
 val write_payload : payload -> addr:Memory.Addr.t -> Ethernet.Frame.t -> unit
 
 (** [read_payload p ~addr frame] is [frame] carrying the
-    [payload_len] bytes at [addr] as its data. *)
+    [payload_len] bytes at [addr] as its data: [frame] itself (physically)
+    when its bytes equal memory there, otherwise [frame] with a copy of
+    memory attached as [Other] bytes. *)
 val read_payload :
   payload -> addr:Memory.Addr.t -> Ethernet.Frame.t -> Ethernet.Frame.t
 

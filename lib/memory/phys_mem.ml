@@ -225,6 +225,31 @@ let read t ~addr ~len =
 
 let[@cdna.hot] write t ~addr data = write_sub t ~addr data ~pos:0 ~len:(Bytes.length data)
 
+let[@cdna.hot] write_string t ~addr s =
+  let len = String.length s in
+  check_range t ~addr ~len;
+  touch_range t ~addr ~len;
+  Bytes.blit_string s 0 t.data addr len
+
+external bytes_get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* Eight bytes per step; the int64 annotation makes [=] the unboxed
+   integer compare, so the loop allocates nothing. *)
+let[@cdna.hot] equal_string t ~addr s =
+  let len = String.length s in
+  check_range t ~addr ~len;
+  touch_range t ~addr ~len;
+  let d = t.data in
+  let i = ref 0 in
+  while !i + 8 <= len && (bytes_get64u d (addr + !i) : int64) = string_get64u s !i do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.unsafe_get d (addr + !i) = String.unsafe_get s !i do
+    incr i
+  done;
+  !i >= len
+
 (* Fixed-width little-endian accessors: one validated range check, then
    direct flat-store indexing — no intermediate buffers. *)
 

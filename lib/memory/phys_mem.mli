@@ -115,6 +115,14 @@ val read_into : t -> addr:Addr.t -> len:int -> Bytes.t -> pos:int -> unit
     @raise Invalid_argument if either range is out of bounds. *)
 val write_sub : t -> addr:Addr.t -> Bytes.t -> pos:int -> len:int -> unit
 
+(** [write_string t ~addr s] writes all of [s] at physical [addr]. *)
+val write_string : t -> addr:Addr.t -> string -> unit
+
+(** [equal_string t ~addr s] is true iff the [String.length s] bytes at
+    physical [addr] equal [s]. Same range check and zero-fill-on-touch as
+    {!read}, but it compares in place and allocates nothing. *)
+val equal_string : t -> addr:Addr.t -> string -> bool
+
 (** Fixed-width little-endian accessors used by descriptor rings. All of
     them index the flat backing store directly — one validated range
     check, no intermediate buffer. *)

@@ -406,11 +406,8 @@ and fetch_descriptor_done t c ~epoch ~daddr res =
                           c.sg_frag_descs <- 0;
                           let frame =
                             if t.cfg.Nic_config.materialize_payloads then
-                              {
-                                frame with
-                                Ethernet.Frame.data =
-                                  Some (Bytes.sub c.sg_buf 0 total);
-                              }
+                              Ethernet.Frame.with_bytes frame
+                                (Bytes.sub_string c.sg_buf 0 total)
                             else frame
                           in
                           (* Adjust the optimistic reservation to the real
@@ -577,13 +574,13 @@ and rx_descriptor_done t c ~epoch ~idx ~daddr ~frame res =
                posted buffer) without a fresh allocation. [rx_busy] keeps
                the scratch untouched until [deliver] fires. *)
             (match frame.Ethernet.Frame.data with
-            | None ->
+            | Spec_only ->
                 t.rx_scratch <- ensure_capacity t.rx_scratch ~len ~keep:0;
                 Ethernet.Frame.blit_payload ~seed:frame.Ethernet.Frame.payload_seed
                   ~len t.rx_scratch ~pos:0
-            | Some data ->
+            | Generated data | Other data ->
                 t.rx_scratch <- ensure_capacity t.rx_scratch ~len ~keep:0;
-                Bytes.blit data 0 t.rx_scratch 0 len);
+                Bytes.blit_string data 0 t.rx_scratch 0 len);
             Bus.Dma_engine.write_from t.dma ~context:(dma_ctx t c)
               ~addr:desc.addr ~src:t.rx_scratch ~pos:0 ~len deliver
           end

@@ -81,8 +81,13 @@ let record_received ?now t frame =
   if frame.Ethernet.Frame.seq = t.expected_rx then begin
     t.expected_rx <- t.expected_rx + frame.Ethernet.Frame.segments;
     t.received <- t.received + frame.Ethernet.Frame.segments;
-    if not (Ethernet.Frame.data_valid frame) then
-      t.integrity_failures <- t.integrity_failures + 1;
+    (* The seed check catches damage to spec-only frames, which carry no
+       bytes for [data_valid] to contradict. *)
+    if
+      frame.Ethernet.Frame.payload_seed
+      <> payload_seed ~conn:frame.Ethernet.Frame.flow ~seq:frame.Ethernet.Frame.seq
+      || not (Ethernet.Frame.data_valid frame)
+    then t.integrity_failures <- t.integrity_failures + 1;
     (match (now, Hashtbl.find_opt t.sent_at frame.Ethernet.Frame.seq) with
     | Some arrival, Some departure ->
         Hashtbl.remove t.sent_at frame.Ethernet.Frame.seq;

@@ -82,6 +82,10 @@ val received : t -> int
 (** Frames rejected as out-of-order or duplicate. *)
 val rejected : t -> int
 
+(** Accepted frames whose payload fails the sink check: a seed other
+    than the one senders stamp for the frame's flow and seq (which also
+    catches damage to spec-only frames), or bytes that fail
+    [Ethernet.Frame.data_valid]. *)
 val integrity_failures : t -> int
 
 (** {1 Measurement} *)

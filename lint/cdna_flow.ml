@@ -66,8 +66,9 @@ let rule_p3 = "P3-priv-reachability"
 let declared_sources =
   SSet.of_list
     [
-      "Phys_mem.read"; "Phys_mem.read_uint"; "Phys_mem.read_u16";
-      "Phys_mem.read_u32"; "Phys_mem.read_u64"; "Desc_layout.read";
+      "Phys_mem.read"; "Phys_mem.equal_string"; "Phys_mem.read_uint";
+      "Phys_mem.read_u16"; "Phys_mem.read_u32"; "Phys_mem.read_u64";
+      "Desc_layout.read";
       "Mailbox.value"; "Xchan.tx_peek"; "Xchan.tx_pop"; "Xchan.rx_pop";
       "Xchan.take_tx_completions"; "Xchan.take_returned_pages";
     ]
@@ -89,6 +90,7 @@ let declared_sinks : sens list SMap.t =
          ("Dma_engine.access", [ Lab "addr"; Lab "len" ]);
          ("Phys_mem.write", [ Lab "addr" ]);
          ("Phys_mem.write_sub", [ Lab "addr"; Lab "len" ]);
+         ("Phys_mem.write_string", [ Lab "addr" ]);
          ("Phys_mem.write_uint", [ Lab "addr" ]);
          ("Phys_mem.write_u16", [ Lab "addr" ]);
          ("Phys_mem.write_u32", [ Lab "addr" ]);

@@ -157,7 +157,8 @@ let byte_access_fns =
   SSet.of_list
     [
       "Phys_mem.read"; "Phys_mem.write"; "Phys_mem.read_into";
-      "Phys_mem.write_sub"; "Phys_mem.read_uint"; "Phys_mem.write_uint";
+      "Phys_mem.write_sub"; "Phys_mem.write_string";
+      "Phys_mem.equal_string"; "Phys_mem.read_uint"; "Phys_mem.write_uint";
       "Phys_mem.read_u16"; "Phys_mem.write_u16"; "Phys_mem.read_u32";
       "Phys_mem.write_u32"; "Phys_mem.read_u64"; "Phys_mem.write_u64";
       "Netdev.write_payload"; "Netdev.read_payload";

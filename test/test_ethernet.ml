@@ -77,14 +77,47 @@ let test_frame_data_validity () =
   check_bool "valid" true (Ethernet.Frame.data_valid f);
   let corrupted =
     match f.Ethernet.Frame.data with
-    | Some d ->
-        let d = Bytes.copy d in
+    | Generated d ->
+        let d = Bytes.of_string d in
         Bytes.set d 0 (Char.chr (Char.code (Bytes.get d 0) lxor 0xFF));
-        { f with Ethernet.Frame.data = Some d }
-    | None -> assert false
+        Ethernet.Frame.with_bytes f (Bytes.to_string d)
+    | Spec_only | Other _ -> assert false
   in
   check_bool "corruption detected" false (Ethernet.Frame.data_valid corrupted);
   check_bool "spec-only trivially valid" true (Ethernet.Frame.data_valid (mk ()))
+
+let test_frame_payload_cases () =
+  let is_other f =
+    match f.Ethernet.Frame.data with
+    | Other _ -> true
+    | Spec_only | Generated _ -> false
+  in
+  let f = Ethernet.Frame.with_data (mk ()) in
+  check_bool "generated is valid" true (Ethernet.Frame.data_valid f);
+  check_bool "generated is not other" false (is_other f);
+  let good = Bytes.to_string (Ethernet.Frame.materialize_payload ~seed:7 ~len:1500) in
+  let same = Ethernet.Frame.with_bytes (mk ()) good in
+  check_bool "other bytes are walked" true (is_other same);
+  check_bool "right other bytes valid" true (Ethernet.Frame.data_valid same);
+  let forged = Ethernet.Frame.with_bytes (mk ()) (String.make 1500 'X') in
+  check_bool "forged bytes invalid" false (Ethernet.Frame.data_valid forged);
+  let short = Ethernet.Frame.with_bytes (mk ()) (String.sub good 0 1499) in
+  check_bool "short bytes invalid" false (Ethernet.Frame.data_valid short);
+  let c = Ethernet.Frame.corrupt f in
+  check_bool "corrupt generated is other" true (is_other c);
+  check_bool "corrupt generated invalid" false (Ethernet.Frame.data_valid c);
+  check_int "corrupt keeps size" (Ethernet.Frame.wire_bytes f)
+    (Ethernet.Frame.wire_bytes c);
+  check_bool "corrupt changes crc" true
+    (Ethernet.Frame.payload_crc c <> Ethernet.Frame.payload_crc f);
+  let spec = mk () in
+  let cs = Ethernet.Frame.corrupt spec in
+  check_bool "corrupt spec-only stays spec-only" true
+    (match cs.Ethernet.Frame.data with
+    | Spec_only -> true
+    | Generated _ | Other _ -> false);
+  check_bool "corrupt spec-only moves the seed" true
+    (cs.Ethernet.Frame.payload_seed <> spec.Ethernet.Frame.payload_seed)
 
 let test_frame_super_frame_accounting () =
   let f =
@@ -266,6 +299,7 @@ let suite =
         Alcotest.test_case "deterministic payload" `Quick
           test_frame_materialization_deterministic;
         Alcotest.test_case "data validity" `Quick test_frame_data_validity;
+        Alcotest.test_case "payload cases" `Quick test_frame_payload_cases;
         Alcotest.test_case "bad length" `Quick test_frame_rejects_bad_length;
         Alcotest.test_case "super-frame accounting" `Quick
           test_frame_super_frame_accounting;

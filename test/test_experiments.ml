@@ -132,6 +132,42 @@ let test_xen_scales_down_cdna_does_not () =
     (c8.Experiments.Run.profile.Host.Profile.idle
     < c1.Experiments.Run.profile.Host.Profile.idle)
 
+(* Xen receive, materialized: frames corrupted on the wire cross the NIC,
+   the driver domain and the page flip, and the guest's sink catches them
+   even though every read-back along the way compares instead of copying. *)
+let test_xen_rx_link_corruption_detected () =
+  let cfg =
+    {
+      xen_tx with
+      Experiments.Config.pattern = Workload.Pattern.Rx;
+      materialize = true;
+    }
+  in
+  let tb = Experiments.Testbed.build cfg in
+  let n = ref 0 in
+  Array.iter
+    (fun link ->
+      Ethernet.Link.set_tamper link
+        (Some
+           (fun _ ->
+             incr n;
+             if !n mod 97 = 0 then `Corrupt else `Pass)))
+    tb.Experiments.Testbed.links;
+  tb.Experiments.Testbed.start ();
+  Sim.Engine.run tb.Experiments.Testbed.engine ~until:(Sim.Time.ms 20);
+  let failures =
+    List.fold_left
+      (fun acc c -> acc + Workload.Connection.integrity_failures c)
+      0 tb.Experiments.Testbed.conns_rx
+  in
+  check_bool
+    (Printf.sprintf "corruption detected (%d failures)" failures)
+    true (failures > 0);
+  check_bool "data flowed" true
+    (List.exists
+       (fun c -> Workload.Connection.received c > 0)
+       tb.Experiments.Testbed.conns_rx)
+
 let test_end_to_end_integrity_materialized () =
   (* Every payload byte crosses the simulated DMA engine and is verified
      at the consumer, on all three systems. *)
@@ -532,6 +568,8 @@ let suite =
       [
         Alcotest.test_case "end-to-end materialized" `Slow
           test_end_to_end_integrity_materialized;
+        Alcotest.test_case "xen rx link corruption" `Slow
+          test_xen_rx_link_corruption_detected;
         Alcotest.test_case "bidirectional" `Slow test_bidirectional;
         Alcotest.test_case "latency measured" `Slow test_latency_measured;
         Alcotest.test_case "tso amortizes cpu" `Slow test_tso_amortizes_cpu;

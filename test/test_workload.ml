@@ -62,10 +62,31 @@ let test_conn_integrity_check () =
   check_int "clean" 0 (Workload.Connection.integrity_failures rx);
   let f2 = Workload.Connection.make_frame tx in
   let corrupted =
-    { f2 with Ethernet.Frame.data = Some (Bytes.make 1000 'X') }
+    Ethernet.Frame.with_bytes f2 (String.make 1000 'X')
   in
   ignore (Workload.Connection.record_received rx corrupted);
   check_int "corruption detected" 1 (Workload.Connection.integrity_failures rx)
+
+(* A link-corrupted spec-only frame carries no bytes, so only its seed
+   shows the damage: the sink must still count it. *)
+let test_conn_spec_only_link_corruption () =
+  let engine = Sim.Engine.create () in
+  let link = Ethernet.Link.create engine () in
+  let tx = conn () in
+  let rx = conn () in
+  Ethernet.Link.attach link Ethernet.Link.B (fun f ->
+      ignore (Workload.Connection.record_received rx f));
+  Ethernet.Link.set_tamper link
+    (Some (fun f -> if f.Ethernet.Frame.seq = 1 then `Corrupt else `Pass));
+  for _ = 1 to 3 do
+    Ethernet.Link.send link ~from:Ethernet.Link.A
+      (Workload.Connection.make_frame tx) ~on_wire_free:ignore
+  done;
+  Sim.Engine.run engine ~until:(Sim.Time.ms 1);
+  check_int "all accepted" 3 (Workload.Connection.received rx);
+  check_int "corrupted on the link" 1 (Ethernet.Link.corrupted link);
+  check_int "spec-only corruption detected" 1
+    (Workload.Connection.integrity_failures rx)
 
 let test_conn_super_frames () =
   let tx = conn ~window:8 () in
@@ -206,6 +227,8 @@ let suite =
         Alcotest.test_case "frame sequence" `Quick test_conn_frames_sequence;
         Alcotest.test_case "in-order receive" `Quick test_conn_in_order_receive;
         Alcotest.test_case "integrity" `Quick test_conn_integrity_check;
+        Alcotest.test_case "spec-only link corruption" `Quick
+          test_conn_spec_only_link_corruption;
         Alcotest.test_case "super-frames" `Quick test_conn_super_frames;
         Alcotest.test_case "reset" `Quick test_conn_reset;
       ] );
