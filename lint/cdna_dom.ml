@@ -297,7 +297,8 @@ let add_item prog it = prog.items <- SMap.add it.i_id it prog.items
 
 let extra_viol prog rule file line msg =
   prog.extra_viols <-
-    { rule; file; line; msg; chain = []; suppress = None } :: prog.extra_viols
+    { rule; file; line; col = None; msg; chain = []; suppress = None }
+    :: prog.extra_viols
 
 (* A [domain_shared] reason, [Some ""] (and a DS1) when it is missing. *)
 let shared_reason prog a ~file ~line ~what =
@@ -777,6 +778,7 @@ let analyze (core : Program.t) =
                     rule;
                     file = use_file;
                     line = u.u_line;
+                    col = None;
                     msg;
                     chain = [ decl ] @ alias_hops @ witness @ [ use_hop ];
                     suppress =

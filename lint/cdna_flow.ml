@@ -1,31 +1,20 @@
-(* cdna_flow — interprocedural guest-taint and DMA-safety verification
-   over compiled [.cmt] typedtrees (compiler-libs).
+(* cdna_flow — interprocedural guest-taint verification over compiled
+   [.cmt] typedtrees (compiler-libs), on the corpus [Program.load] reads
+   once.
 
-   Complements the purely syntactic [cdna_lint] (parsetree) with three
-   whole-program analyses over the corpus [Program.load] reads once:
+   (T1/T2) guest-taint: values originating from guest-readable memory
+   ([Phys_mem.read_*], descriptor reads via [Desc_layout.read],
+   [Mailbox] PIO payloads, [Xchan] messages) are tainted and must pass
+   through a declared sanitizer ([Iommu.allowed], [Seqno.continuous], or
+   any function marked [@cdna.sanitizer]) before flowing into an
+   address/length argument of a DMA sink ([Bus.Dma_engine.*], [Phys_mem]
+   writes, [Desc_layout.write], [Iommu.grant], [Phys_mem.get_ref]) or
+   into the addr/len fields of a [Memory.Dma_desc.t] record under
+   construction. Violations carry the full source -> call chain -> sink
+   path with file:line per hop.
 
-   - (T1/T2) guest-taint: values originating from guest-readable memory
-     ([Phys_mem.read_*], descriptor reads via [Desc_layout.read],
-     [Mailbox] PIO payloads, [Xchan] messages) are tainted and must pass
-     through a declared sanitizer ([Iommu.allowed], [Seqno.continuous],
-     or any function marked [@cdna.sanitizer]) before flowing into an
-     address/length argument of a DMA sink ([Bus.Dma_engine.*],
-     [Phys_mem] writes, [Desc_layout.write], [Iommu.grant],
-     [Phys_mem.get_ref]) or into the addr/len fields of a
-     [Memory.Dma_desc.t] record under construction. Violations carry the
-     full source -> call chain -> sink path with file:line per hop.
-   - (A6) transitive zero-alloc: a [@cdna.hot] function may only
-     (transitively) reach allocation-free functions. The parsetree rules
-     A1-A5 vet a hot body itself; A6 closes the loophole of a hot
-     function calling a quietly-allocating non-hot helper, resolving
-     module aliases ([module L = List]) and functor instances
-     ([module M = Map.Make (...)]) the parsetree walker cannot see.
-   - (P3) privilege reachability: no call path from a lib/nic or
-     lib/guestos entry point reaches an ownership-mutating operation
-     ([Phys_mem.alloc/free/transfer/get_ref/put_ref], [Iommu.grant/
-     revoke/revoke_context]) except through the declared hypercall
-     surface (a [@@@cdna.privileged] module, e.g. [Hyp], or the
-     xen/host/memory layers).
+   Reachable allocation from [@cdna.hot] code and the ownership boundary
+   are [Cdna_lint]'s rules (DESIGN.md section 9).
 
    Annotation contract (DESIGN.md section 10):
      [@cdna.sanitizer]       the function validates guest data; applying
@@ -56,8 +45,6 @@ type report = {
 
 let rule_t1 = "T1-guest-taint"
 let rule_t2 = "T2-desc-construct"
-let rule_a6 = "A6-transitive-alloc"
-let rule_p3 = "P3-priv-reachability"
 
 (* ------------------------------------------------------------------ *)
 (* Source / sink / sanitizer contract                                  *)
@@ -103,8 +90,7 @@ let declared_sinks : sens list SMap.t =
 (* Modules modeled purely by the contract above: their bodies implement
    the primitives (bounds checks, IOMMU walks) and are exempt from taint
    evaluation — analyzing them would re-flag the very validation code
-   the contract declares trusted. Call/alloc facts are still collected
-   for the A6 and P3 graphs. *)
+   the contract declares trusted. *)
 let contract_modules =
   SSet.of_list
     [
@@ -126,24 +112,6 @@ let hof_fns =
       "Queue.fold"; "Hashtbl.iter"; "Hashtbl.fold"; "Option.iter";
       "Option.map"; "Option.bind"; "Option.fold"; "Seq.iter"; "Seq.map";
       "Seq.fold_left";
-    ]
-
-let named_operators =
-  SSet.of_list
-    [ "or"; "mod"; "land"; "lor"; "lxor"; "lnot"; "lsl"; "lsr"; "asr" ]
-
-let is_operator_name name =
-  String.length name > 0
-  && (String.contains "!$%&*+-./:<=>?@^|~" name.[0]
-     || SSet.mem name named_operators)
-
-(* Calls whose arguments leave the steady-state path. *)
-let cold_exits =
-  SSet.of_list
-    [
-      "raise"; "raise_notrace"; "invalid_arg"; "failwith"; "Stdlib.raise";
-      "Stdlib.raise_notrace"; "Stdlib.invalid_arg"; "Stdlib.failwith";
-      "Stdlib.assert"; "Printf.sprintf"; "Format.asprintf";
     ]
 
 let contract (f : fn) = SSet.mem f.f_module contract_modules
@@ -235,86 +203,6 @@ end
 module Solver = Fixpoint.Make (Summary)
 
 (* ------------------------------------------------------------------ *)
-(* Facts: call edges and allocation sites, for all functions           *)
-(* ------------------------------------------------------------------ *)
-
-type call = {
-  c_callee : string; (* canonical, intra-module names qualified *)
-  c_line : int;
-  c_susp : bool; (* under [@cdna.alloc_ok] / [@cdna.flow_ok] *)
-}
-
-type facts = {
-  calls : call list;
-  allocs : (string * int) list; (* what, line *)
-}
-
-let collect_facts prog (f : fn) =
-  let calls = ref [] and allocs = ref [] in
-  let susp = ref 0 in
-  let add_call c line =
-    calls := { c_callee = c; c_line = line; c_susp = !susp > 0 } :: !calls
-  in
-  let add_alloc what line = if !susp = 0 then allocs := (what, line) :: !allocs in
-  let rec visit (it : Tast_iterator.iterator) (e : Typedtree.expression) =
-    let suspends =
-      List.exists
-        (fun a ->
-          let n = attr_name a in
-          n = "cdna.alloc_ok" || n = "cdna.flow_ok")
-        e.exp_attributes
-    in
-    if suspends then incr susp;
-    (match e.exp_desc with
-    | Typedtree.Texp_apply (fe, args) -> (
-        match ident_name prog fe with
-        | Some c when SSet.mem c cold_exits || SSet.mem (last_comp c) cold_exits
-          ->
-            (* Error-path arguments may allocate; leave the subtree. *)
-            ()
-        | Some c ->
-            add_call c (loc_line e.exp_loc);
-            if SSet.mem (last_comp c) Cdna_lint.alloc_operators then
-              add_alloc ("operator " ^ last_comp c) (loc_line e.exp_loc);
-            List.iter
-              (fun (_, a) -> match a with Some a -> visit it a | None -> ())
-              args
-        | None ->
-            visit it fe;
-            List.iter
-              (fun (_, a) -> match a with Some a -> visit it a | None -> ())
-              args)
-    | Typedtree.Texp_ident _ -> (
-        match ident_name prog e with
-        | Some c when SMap.mem c prog.fns -> add_call c (loc_line e.exp_loc)
-        | _ -> ())
-    | _ ->
-        (match e.exp_desc with
-        | Typedtree.Texp_record _ -> add_alloc "record" (loc_line e.exp_loc)
-        | Typedtree.Texp_tuple _ -> add_alloc "tuple" (loc_line e.exp_loc)
-        | Typedtree.Texp_construct (_, _, args) when args <> [] ->
-            add_alloc "constructor" (loc_line e.exp_loc)
-        | Typedtree.Texp_array (_ :: _) ->
-            add_alloc "array" (loc_line e.exp_loc)
-        | Typedtree.Texp_function _ -> add_alloc "closure" (loc_line e.exp_loc)
-        | Typedtree.Texp_lazy _ -> add_alloc "lazy" (loc_line e.exp_loc)
-        | _ -> ());
-        Tast_iterator.default_iterator.expr it e);
-    if suspends then decr susp
-  in
-  let it = { Tast_iterator.default_iterator with expr = visit } in
-  it.expr it f.f_body;
-  let mem c = SMap.mem c prog.fns in
-  {
-    calls =
-      List.rev_map
-        (fun c ->
-          { c with c_callee = qualify ~mem ~modname:f.f_module c.c_callee })
-        !calls;
-    allocs = List.rev !allocs;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Taint evaluation (passes 3-4)                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -349,7 +237,7 @@ let add_flows ctx ps sink hops =
 
 let record_violation ctx ~sup ~rule ~loc ~msg ~chain =
   ctx.viols :=
-    { rule; file = loc_file loc; line = loc_line loc; msg; chain;
+    { rule; file = loc_file loc; line = loc_line loc; col = None; msg; chain;
       suppress = sup }
     :: !(ctx.viols)
 
@@ -818,169 +706,10 @@ let eval_fn prog ~summary ~report viols (f : fn) =
   { s_ret = ret; s_flows = flows }
 
 (* ------------------------------------------------------------------ *)
-(* A6: transitive zero-alloc closure                                   *)
-(* ------------------------------------------------------------------ *)
-
-let external_allowed c =
-  (* Unqualified names are parameters or local bindings — their bodies
-     (if any) are walked inline, so only module-qualified externals are
-     judged here. Typedtree paths are fully resolved, so a stdlib call
-     is always qualified even under [open]. *)
-  (not (String.contains c '.'))
-  || SSet.mem c Cdna_lint.allow_qualified
-  || is_operator_name (last_comp c)
-  || SSet.mem c cold_exits
-  || SSet.mem (last_comp c) cold_exits
-
-(* Depth-first over resolved call edges from [entry], whose witness hop
-   is [first]: [step path f c] judges call site [c] of a reached function
-   [f] and names the callee to descend into, if any; [enter path g] runs
-   once per function reached, with the witness path to it. *)
-let walk_calls facts ~first ~step ~enter (entry : fn) =
-  let visited = Hashtbl.create 16 in
-  let rec walk path (f : fn) =
-    List.iter
-      (fun c ->
-        match step path f c with
-        | Some (g : fn) when not (Hashtbl.mem visited g.f_id) ->
-            Hashtbl.add visited g.f_id ();
-            let path =
-              path
-              @ [
-                  hop_at
-                    (Printf.sprintf "%s calls %s" f.f_id g.f_id)
-                    f.f_file c.c_line;
-                ]
-            in
-            enter path g;
-            walk path g
-        | _ -> ())
-      (SMap.find f.f_id facts).calls
-  in
-  walk [ first ] entry
-
-(* Report each violation once per key across a whole check. *)
-let once viols =
-  let seen = Hashtbl.create 16 in
-  fun key v ->
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      viols := v :: !viols
-    end
-
-let check_transitive_alloc prog facts viols =
-  let report = once viols in
-  let a6 (h : fn) (g : fn) key line what chain =
-    report key
-      {
-        rule = rule_a6;
-        file = g.f_file;
-        line;
-        msg =
-          Printf.sprintf "[@cdna.hot] %s transitively reaches %s, which %s"
-            h.f_id g.f_id what;
-        chain;
-        suppress = None;
-      }
-  in
-  let enter h path (g : fn) =
-    let gf = SMap.find g.f_id facts in
-    List.iter
-      (fun (what, line) ->
-        a6 h g
-          ("alloc:" ^ g.f_id ^ ":" ^ string_of_int line)
-          line
-          ("allocates (" ^ what ^ ")")
-          path)
-      gf.allocs;
-    List.iter
-      (fun c ->
-        if
-          (not c.c_susp)
-          && (not (SMap.mem c.c_callee prog.fns))
-          && not (external_allowed c.c_callee)
-        then
-          a6 h g
-            ("ext:" ^ g.f_id ^ ":" ^ c.c_callee)
-            c.c_line
-            (Printf.sprintf "calls %s (not on the zero-alloc allowlist)"
-               c.c_callee)
-            path)
-      gf.calls
-  in
-  (* Hot callees are vetted by A1-A5 themselves. *)
-  let step _ (f : fn) c =
-    match SMap.find_opt c.c_callee prog.fns with
-    | Some g
-      when (not c.c_susp) && g.f_id <> f.f_id
-           && not (has_attr "cdna.hot" g.f_attrs) ->
-        Some g
-    | _ -> None
-  in
-  SMap.iter
-    (fun _ (h : fn) ->
-      if has_attr "cdna.hot" h.f_attrs then
-        walk_calls facts ~step ~enter:(enter h)
-          ~first:(hop_at ("hot entry " ^ h.f_id) h.f_file h.f_line)
-          h)
-    prog.fns
-
-(* ------------------------------------------------------------------ *)
-(* P3: privilege reachability                                          *)
-(* ------------------------------------------------------------------ *)
-
-let priv_stop_layers = SSet.of_list [ "xen"; "host"; "memory" ]
-
-let check_priv_reachability prog facts viols =
-  let report = once viols in
-  let step (entry : fn) path (f : fn) c =
-    (* P3 is cdna_lint's P1 restated as reachability: same operations. *)
-    if SSet.mem c.c_callee Cdna_lint.ownership_fns then begin
-      report
-        (f.f_id ^ ":" ^ string_of_int c.c_line ^ ":" ^ c.c_callee)
-        {
-          rule = rule_p3;
-          file = f.f_file;
-          line = c.c_line;
-          msg =
-            Printf.sprintf
-              "%s entry point %s reaches ownership-mutating %s outside the \
-               declared hypercall surface"
-              entry.f_layer entry.f_id c.c_callee;
-          chain = path @ [ hop_at ("ownership op " ^ c.c_callee) f.f_file c.c_line ];
-          suppress = (if c.c_susp then Some "annotated" else None);
-        };
-      None
-    end
-    else
-      match SMap.find_opt c.c_callee prog.fns with
-      | Some g
-        when g.f_privileged || contract g || SSet.mem g.f_layer priv_stop_layers
-        ->
-          None (* the declared privilege boundary *)
-      | g -> g
-  in
-  SMap.iter
-    (fun _ (entry : fn) ->
-      if
-        (entry.f_layer = "nic" || entry.f_layer = "guestos")
-        && (not entry.f_privileged) && not (contract entry)
-      then
-        walk_calls facts ~step:(step entry)
-          ~enter:(fun _ _ -> ())
-          ~first:
-            (hop_at
-               (Printf.sprintf "entry %s (%s layer)" entry.f_id entry.f_layer)
-               entry.f_file entry.f_line)
-          entry)
-    prog.fns
-
-(* ------------------------------------------------------------------ *)
 (* Driving                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let analyze (prog : Program.t) =
-  let facts = SMap.map (collect_facts prog) prog.fns in
   (* Taint fixpoint over summaries, then one reporting pass. *)
   let analyzed =
     SMap.filter (fun _ f -> (not (contract f)) && not f.f_privileged) prog.fns
@@ -994,8 +723,6 @@ let analyze (prog : Program.t) =
   SMap.iter
     (fun _ f -> ignore (eval_fn prog ~summary ~report:true viols f))
     analyzed;
-  check_transitive_alloc prog facts viols;
-  check_priv_reachability prog facts viols;
   let violations, suppressed = finalize (List.rev !viols) in
   let sanitizers =
     List.filter

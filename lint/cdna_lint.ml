@@ -1,77 +1,50 @@
-(* cdna_lint — compiler-AST static analysis for the CDNA simulator.
+(* cdna_lint — the per-expression rules over the compiled corpus.
 
-   Enforces, as compile-time properties of every [.ml] under [lib/], the
-   three invariant families the runtime test-suite can only spot-check:
+   Runs on the same [Program.t] typedtrees as [Cdna_flow], [Cdna_dom]
+   and [Cdna_proto], with every name resolved by [Program.canon_of]
+   (module and [let module] aliases, dune wrapping, [open]s), and
+   enforces three invariant families on every [.ml] under [lib/]:
 
    - (D) Determinism: no unordered [Hashtbl] iteration feeding anything
      (unless sorted or justified), no polymorphic compare/hash on
      structured values, no wall-clock / GC / Marshal primitives.
-   - (A) Zero-allocation hot paths: functions annotated [@cdna.hot] must
-     not syntactically allocate and may only call other hot functions or
-     a small allowlist of non-allocating primitives.
+   - (A) Zero-allocation hot paths: no allocation is reachable from a
+     [@cdna.hot] entry. One classifier runs on each hot body and, call
+     edge by call edge, on every non-hot lib function it calls or passes
+     as a value. A finding names its site kind (A1-A5) and carries the
+     entry -> site chain; hot callees are entries of their own.
    - (P) Protection boundaries: page-ownership and IOMMU-permission
-     mutation is confined to the hypervisor-side layers, and the NIC /
-     guest-OS layers reach guest memory only through [Bus.Dma_engine]
-     (the paper's validated-descriptor rule, PAPER.md §3.2).
+     mutation is confined to the hypervisor-side layers (P1), and the
+     NIC / guest-OS layers reach guest memory only through
+     [Bus.Dma_engine] (P2) — the paper's validated-descriptor rule,
+     PAPER.md §3.2.
 
-   The checker is purely syntactic (ppxlib parsetree): it never needs
-   build artifacts, runs on sources that do not typecheck, and is
-   conservative — anything it cannot prove safe must either be rewritten
-   or carry a justification annotation, which is counted and exported so
+   Anything the rules cannot prove safe must be rewritten or carry a
+   justification annotation, which is counted and exported so
    suppressions are tracked over time.
 
    Annotation contract (see DESIGN.md §9):
-     [@cdna.hot]                  marks a top-level function hot (A rules apply)
+     [@cdna.hot]                  marks a toplevel function hot (A rules apply)
      [@cdna.unordered_ok "why"]   suppresses D1 on the annotated subtree
      [@cdna.polyeq_ok "why"]      suppresses D2
      [@cdna.nondet_ok "why"]      suppresses D3
-     [@cdna.alloc_ok "why"]       suppresses A1-A5
+     [@cdna.alloc_ok "why"]       suppresses A1-A5 (the walk stops there)
      [@cdna.protection_ok "why"]  suppresses P1-P2
-     [@@@cdna.privileged "why"]   (module level) exempts the file from P rules
+     [@@@cdna.privileged "why"]   (module level) exempts the scope from P rules
+     [@@@cdna.layer "nic"]        (module level) sets the scope's layer
    A suppression without a non-empty reason string is itself a violation
    (S1). *)
 
-open Ppxlib
+open Program
+include Program.Diag
 
-(* ------------------------------------------------------------------ *)
-(* Diagnostics                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type diag = {
-  file : string;
-  line : int;
-  col : int;
-  rule : string;
-  msg : string;
-}
-
-type stats = {
-  files_scanned : int;
+type report = {
+  cmt_files : int;
   hot_functions : int;
-  violations : int;
-  rule_counts : (string * int) list;
-  suppression_counts : (string * int) list;
+  violations : violation list; (* unsuppressed, sorted *)
+  suppressed : violation list;
+  suppressions : (string * int) list; (* annotation -> occurrences *)
 }
-
-let diag_compare a b =
-  let c = String.compare a.file b.file in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.line b.line in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.col b.col in
-      if c <> 0 then c
-      else
-        let c = String.compare a.rule b.rule in
-        if c <> 0 then c else String.compare a.msg b.msg
-
-let diag_to_string d =
-  Printf.sprintf "%s:%d:%d: [%s] %s" d.file d.line d.col d.rule d.msg
-
-(* ------------------------------------------------------------------ *)
-(* Rules: names and identifier tables                                  *)
-(* ------------------------------------------------------------------ *)
 
 let rule_d1 = "D1-unordered-iter"
 let rule_d2 = "D2-poly-compare"
@@ -84,16 +57,10 @@ let rule_a5 = "A5-boxed-arith"
 let rule_p1 = "P1-ownership-boundary"
 let rule_p2 = "P2-guest-memory-boundary"
 let rule_s1 = "S1-suppression-reason"
-let rule_parse = "S0-parse-error"
 
-let all_rules =
-  [
-    rule_d1; rule_d2; rule_d3; rule_a1; rule_a2; rule_a3; rule_a4; rule_a5;
-    rule_p1; rule_p2; rule_s1; rule_parse;
-  ]
-
-module SSet = Set.Make (String)
-module SMap = Map.Make (String)
+(* ------------------------------------------------------------------ *)
+(* Rules as data: canonical names                                      *)
+(* ------------------------------------------------------------------ *)
 
 (* Suppression kinds, keyed by the attribute that activates them. *)
 let suppression_attrs =
@@ -124,11 +91,16 @@ let sort_fns =
 let poly_idents =
   SSet.of_list
     [
-      "compare"; "Stdlib.compare"; "Pervasives.compare"; "Hashtbl.hash";
-      "Hashtbl.hash_param"; "Hashtbl.seeded_hash";
+      "Stdlib.compare"; "Hashtbl.hash"; "Hashtbl.hash_param";
+      "Hashtbl.seeded_hash";
     ]
 
-let cmp_ops = SSet.of_list [ "="; "<>"; "<"; ">"; "<="; ">=" ]
+let cmp_ops =
+  SSet.of_list
+    [
+      "Stdlib.="; "Stdlib.<>"; "Stdlib.<"; "Stdlib.>"; "Stdlib.<=";
+      "Stdlib.>=";
+    ]
 
 (* Nondeterministic primitives: wall clock, self-seeding, GC observation,
    Marshal (output depends on sharing/flags, and is unreadable in traces). *)
@@ -141,18 +113,20 @@ let forbidden_idents =
 
 let forbidden_modules = SSet.of_list [ "Gc"; "Marshal" ]
 
-(* P1: ownership / IOMMU-permission mutation. *)
+(* P1: ownership / IOMMU-permission mutation, and the layers that may. *)
 let ownership_fns =
   SSet.of_list
     [
       "Phys_mem.alloc"; "Phys_mem.populate"; "Phys_mem.free";
-      "Phys_mem.transfer"; "Phys_mem.get_ref"; "Phys_mem.put_ref"; "Iommu.grant"; "Iommu.revoke";
-      "Iommu.revoke_context";
+      "Phys_mem.transfer"; "Phys_mem.get_ref"; "Phys_mem.put_ref";
+      "Iommu.grant"; "Iommu.revoke"; "Iommu.revoke_context";
     ]
+
+let ownership_layers = SSet.of_list [ "xen"; "host"; "memory" ]
 
 (* P2: direct byte access to simulated physical memory, including the
    guest driver core's payload staging and read-back, which do it on the
-   caller's behalf. *)
+   caller's behalf; and the layers that must not. *)
 let byte_access_fns =
   SSet.of_list
     [
@@ -164,8 +138,13 @@ let byte_access_fns =
       "Netdev.write_payload"; "Netdev.read_payload";
     ]
 
-(* Non-allocating primitives callable from hot code. *)
-let allow_qualified =
+let guest_layers = SSet.of_list [ "nic"; "guestos" ]
+
+(* Non-allocating primitives callable from hot code. [ref] is accepted:
+   a local ref that never escapes is unboxed by ocamlopt, and the escape
+   vectors (capture by a closure, storage in a structure) are sites
+   themselves. *)
+let allowed =
   SSet.of_list
     [
       "Bytes.length"; "Bytes.get"; "Bytes.set"; "Bytes.unsafe_get";
@@ -181,43 +160,36 @@ let allow_qualified =
       "Int.shift_right"; "Int.shift_right_logical";
       "Lazy.force"; "Sys.opaque_identity";
       (* Per-domain slot read; allocates only on a key's first access on
-         a new domain (one-time init, like Lazy.force). Both spellings:
-         the parsetree sees [Domain.DLS.get], the typedtree [DLS.get]. *)
-      "Domain.DLS.get"; "DLS.get";
+         a new domain (one-time init, like Lazy.force). *)
+      "DLS.get";
       "Hashtbl.mem"; "Hashtbl.remove"; "Hashtbl.length";
       "Queue.length"; "Queue.is_empty";
       "Stdlib.min"; "Stdlib.max"; "Stdlib.abs"; "Stdlib.succ";
       "Stdlib.pred"; "Stdlib.not"; "Stdlib.ignore"; "Stdlib.fst";
-      "Stdlib.snd"; "Stdlib.incr"; "Stdlib.decr"; "Stdlib.invalid_arg";
-      "Stdlib.failwith"; "Stdlib.raise"; "Stdlib.compare_lengths";
+      "Stdlib.snd"; "Stdlib.incr"; "Stdlib.decr"; "Stdlib.ref"; "Stdlib.lnot";
+      "List.compare_lengths";
       (* Project-local: [Sim.Trace.tag_enabled] is a pure flag check. *)
       "Trace.tag_enabled";
-    ]
-
-(* [ref] is accepted: a local ref that never escapes is unboxed by
-   ocamlopt, and the escape vectors (capture by a closure, storage in a
-   structure) are caught by A1/A2 themselves. *)
-let allow_bare =
-  SSet.of_list
-    [
-      "min"; "max"; "abs"; "succ"; "pred"; "not"; "ignore"; "fst"; "snd";
-      "incr"; "decr"; "ref"; "invalid_arg"; "failwith"; "raise";
-      "raise_notrace"; "assert";
     ]
 
 (* Calls that leave the steady-state path: their arguments may allocate
    (exception payloads are error-path only). *)
 let cold_exits =
   SSet.of_list
-    [ "raise"; "raise_notrace"; "invalid_arg"; "failwith";
-      "Stdlib.raise"; "Stdlib.invalid_arg"; "Stdlib.failwith" ]
+    [
+      "Stdlib.raise"; "Stdlib.raise_notrace"; "Stdlib.invalid_arg";
+      "Stdlib.failwith";
+    ]
 
-let alloc_operators = SSet.of_list [ "^"; "@"; "^^" ]
+let alloc_operators = SSet.of_list [ "Stdlib.^"; "Stdlib.@"; "Stdlib.^^" ]
 
 let float_operators =
   SSet.of_list
-    [ "+."; "-."; "*."; "/."; "**"; "~-."; "float_of_int"; "abs_float";
-      "mod_float"; "Float.of_int" ]
+    [
+      "Stdlib.+."; "Stdlib.-."; "Stdlib.*."; "Stdlib./."; "Stdlib.**";
+      "Stdlib.~-."; "Stdlib.float_of_int"; "Stdlib.abs_float";
+      "Stdlib.mod_float"; "Float.of_int";
+    ]
 
 let boxed_arith_modules = SSet.of_list [ "Int64"; "Int32"; "Nativeint" ]
 
@@ -229,602 +201,404 @@ let is_operator_name name =
              [ "or"; "mod"; "land"; "lor"; "lxor"; "lsl"; "lsr"; "asr" ]))
 
 (* ------------------------------------------------------------------ *)
-(* Path classification                                                 *)
+(* Helpers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let normalize_path p = String.map (fun c -> if c = '\\' then '/' else c) p
+(* Every attribute on [e], including those the typechecker keeps on
+   [exp_extra] (constraints, coercions, local opens). *)
+let expr_attrs (e : Typedtree.expression) =
+  e.exp_attributes @ List.concat_map (fun (_, _, attrs) -> attrs) e.exp_extra
 
-let path_has_dir path dir =
-  let path = normalize_path path in
-  let needle = dir ^ "/" in
-  let nl = String.length needle and pl = String.length path in
-  let rec scan i =
-    if i + nl > pl then false
-    else if String.sub path i nl = needle then
-      (* Match whole path segments only. *)
-      i = 0 || path.[i - 1] = '/'
-    else scan (i + 1)
+(* "Stdlib.compare" reads as "compare" in messages. *)
+let display c =
+  if String.starts_with ~prefix:"Stdlib." c then
+    String.sub c 7 (String.length c - 7)
+  else c
+
+(* [((f a) b) c] -> ([f], [a; b; c]), omitted arguments dropped. *)
+let rec flatten_apply (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_apply (f, args) ->
+      let head, inner = flatten_apply f in
+      (head, inner @ List.filter_map snd args)
+  | _ -> (e, [])
+
+let module_of c =
+  match String.index_opt c '.' with Some i -> String.sub c 0 i | None -> ""
+
+let viol ?(chain = []) ~sup rule (loc : Location.t) msg =
+  let p = loc.loc_start in
+  {
+    rule;
+    file = p.pos_fname;
+    line = p.pos_lnum;
+    col = Some (p.pos_cnum - p.pos_bol);
+    msg;
+    chain;
+    suppress = sup;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* D, P and S: one walk over every structure                           *)
+(* ------------------------------------------------------------------ *)
+
+let check_structures prog add annots =
+  let name e = Option.value (ident_name prog e) ~default:"" in
+  let layer = ref "" and privileged = ref false in
+  let sup = ref SMap.empty (* rule -> reason of the innermost mask *) in
+  let sorted_ok = ref [] (* unordered iterations feeding a sort *) in
+  let report rule loc msg =
+    add (viol ~sup:(SMap.find_opt rule !sup) rule loc msg)
   in
-  scan 0
-
-(* Layers allowed to mutate page ownership / IOMMU permissions:
-   the Xen-like VMM substrate, the host model, and the memory subsystem
-   itself. Everything else needs [@@@cdna.privileged]. *)
-let ownership_privileged path =
-  path_has_dir path "lib/xen" || path_has_dir path "lib/host"
-  || path_has_dir path "lib/memory"
-
-(* Layers that may reach guest memory only through [Bus.Dma_engine]. *)
-let guest_restricted path =
-  path_has_dir path "lib/nic" || path_has_dir path "lib/guestos"
-
-(* ------------------------------------------------------------------ *)
-(* Longident helpers                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let flatten_lid lid = try Longident.flatten_exn lid with _ -> []
-
-(* Qualified name reduced to its last two components ("Phys_mem.read"),
-   so aliases like [Memory.Phys_mem.read] and [Stdlib.Hashtbl.fold]
-   normalize to the same key. *)
-let key2 parts =
-  match List.rev parts with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: m :: _ -> m ^ "." ^ x
-
-let key1 parts = match List.rev parts with [] -> "" | x :: _ -> x
-
-let owning_module parts =
-  match List.rev parts with _ :: m :: _ -> m | _ -> ""
-
-(* ------------------------------------------------------------------ *)
-(* Hot-function table (pass 1)                                         *)
-(* ------------------------------------------------------------------ *)
-
-let module_of_path path =
-  Filename.basename path |> Filename.remove_extension
-  |> String.capitalize_ascii
-
-let has_attr name attrs =
-  List.exists (fun (a : attribute) -> a.attr_name.txt = name) attrs
-
-let fn_arity (e : expression) =
-  match e.pexp_desc with
-  | Pexp_function (params, _, body) ->
-      List.length params
-      + (match body with Pfunction_cases _ -> 1 | Pfunction_body _ -> 0)
-  | _ -> 0
-
-(* Maps "Module.fn" -> arity for every [@cdna.hot] binding. Descends into
-   submodules, registering under the innermost module name — callers
-   reference [Sim.Stats.Histogram.add] and [key2] reduces that to
-   "Histogram.add", so the innermost name is the one that resolves. *)
-let collect_hot parsed =
-  let table = Hashtbl.create 64 in
-  let rec scan_items modname items =
+  let count k = annots := k :: !annots in
+  (* Count and validate suppression attributes; mask their rules below. *)
+  let suppress attrs =
     List.iter
-      (fun (item : structure_item) ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) ->
-            List.iter
-              (fun (vb : value_binding) ->
-                if has_attr "cdna.hot" vb.pvb_attributes then
-                  match vb.pvb_pat.ppat_desc with
-                  | Ppat_var { txt; _ } ->
-                      Hashtbl.replace table
-                        (modname ^ "." ^ txt)
-                        (fn_arity vb.pvb_expr)
-                  | _ -> ())
-              vbs
-        | Pstr_module mb -> scan_module_binding mb
-        | Pstr_recmodule mbs -> List.iter scan_module_binding mbs
-        | _ -> ())
-      items
-  and scan_module_binding (mb : module_binding) =
-    match (mb.pmb_name.txt, mb.pmb_expr.pmod_desc) with
-    | Some sub, Pmod_structure items -> scan_items sub items
-    | _ -> ()
+      (fun (a : Parsetree.attribute) ->
+        match List.assoc_opt (attr_name a) suppression_attrs with
+        | None -> ()
+        | Some rules ->
+            count (attr_name a);
+            let reason = Option.value (attr_reason a) ~default:"" in
+            if String.trim reason = "" then
+              report rule_s1 a.attr_loc
+                (Printf.sprintf "[@%s] must carry a non-empty reason string"
+                   (attr_name a));
+            List.iter (fun r -> sup := SMap.add r reason !sup) rules)
+      attrs
   in
-  List.iter
-    (fun (path, structure) ->
-      match structure with
-      | None -> ()
-      | Some structure -> scan_items (module_of_path path) structure)
-    parsed;
-  table
-
-(* ------------------------------------------------------------------ *)
-(* Checker (pass 2)                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type context = {
-  hot_table : (string, int) Hashtbl.t;
-  mutable diags : diag list;
-  suppressions : (string, int) Hashtbl.t;
-}
-
-let bump tbl k = Hashtbl.replace tbl k (1 + try Hashtbl.find tbl k with Not_found -> 0)
-
-class checker (ctx : context) (file : string) (local_toplevel : SSet.t)
-  (local_hot : SSet.t) (privileged : bool) =
-  object (self)
-    inherit Ast_traverse.iter as super
-
-    val mutable in_hot = false
-    val mutable suppressed : SSet.t = SSet.empty
-
-    (* Physical identity sets (small, per-file). *)
-    val mutable sorted_ok : expression list = []
-    val mutable allowed_funs : expression list = []
-
-    (* [module H = Hashtbl] / [let module H = Hashtbl in ...]: local
-       name -> flattened target, so aliased calls cannot evade the
-       name-keyed rules (D1 etc.). *)
-    val mutable mod_aliases : string list SMap.t = SMap.empty
-
-    (* Rewrite the leading component of a qualified name through the
-       alias table ([H.iter] -> [Stdlib.Hashtbl.iter]); fuel-bounded in
-       case of degenerate self-aliases. *)
-    method private expand parts =
-      let rec go fuel = function
-        | first :: rest when fuel > 0 -> (
-            match SMap.find_opt first mod_aliases with
-            | Some target -> go (fuel - 1) (target @ rest)
-            | None -> first :: rest)
-        | parts -> parts
-      in
-      (* Only multi-component names can be module-qualified. *)
-      match parts with [] | [ _ ] -> parts | _ -> go 4 parts
-
-    method private record_alias (name : string option) (m : module_expr) =
-      match name with
-      | None -> ()
-      | Some name -> (
-          let rec target (m : module_expr) =
-            match m.pmod_desc with
-            | Pmod_ident { txt; _ } -> Some (flatten_lid txt)
-            | Pmod_constraint (m', _) -> target m'
-            | _ -> None
-          in
-          match target m with
-          | Some (_ :: _ as parts) ->
-              (* Expand at record time so chained aliases resolve. *)
-              mod_aliases <- SMap.add name (self#expand parts) mod_aliases
-          | _ -> ())
-
-    method! module_binding mb =
-      self#record_alias mb.pmb_name.txt mb.pmb_expr;
-      super#module_binding mb
-
-    method private report (loc : Location.t) rule msg =
-      if not (SSet.mem rule suppressed) then
-        let p = loc.loc_start in
-        ctx.diags <-
-          {
-            file;
-            line = p.pos_lnum;
-            col = p.pos_cnum - p.pos_bol;
-            rule;
-            msg;
-          }
-          :: ctx.diags
-
-    (* Record a suppression attribute: count it, validate its reason, and
-       return the rule names it masks. *)
-    method private suppression_rules (attrs : attributes) =
-      List.concat_map
-        (fun (a : attribute) ->
-          match List.assoc_opt a.attr_name.txt suppression_attrs with
-          | None -> []
-          | Some rules ->
-              bump ctx.suppressions a.attr_name.txt;
-              (match a.attr_payload with
-              | PStr
-                  [
-                    {
-                      pstr_desc =
-                        Pstr_eval
-                          ( {
-                              pexp_desc =
-                                Pexp_constant (Pconst_string (reason, _, _));
-                              _;
-                            },
-                            _ );
-                      _;
-                    };
-                  ]
-                when String.trim reason <> "" ->
-                  ()
-              | _ ->
-                  self#report a.attr_loc rule_s1
-                    (Printf.sprintf
-                       "[@%s] must carry a non-empty reason string"
-                       a.attr_name.txt));
-              rules)
-        attrs
-
-    method private check_ident (loc : Location.t) parts =
-      let k2 = key2 parts and k1 = key1 parts in
-      (* D2: polymorphic compare / hash entry points, any occurrence. *)
-      if SSet.mem k2 poly_idents || (List.length parts = 1 && SSet.mem k1 poly_idents)
+  let check_ident (e : Typedtree.expression) c =
+    if SSet.mem c poly_idents then
+      report rule_d2 e.exp_loc
+        (Printf.sprintf
+           "polymorphic %s: use a typed comparison (Int.compare, \
+            String.compare, ...) or annotate [@cdna.polyeq_ok]"
+           (display c));
+    if SSet.mem c forbidden_idents then
+      report rule_d3 e.exp_loc
+        (Printf.sprintf
+           "%s is nondeterministic; route randomness through Sim.Rng and \
+            time through Sim.Engine, or annotate [@cdna.nondet_ok]"
+           c)
+    else if SSet.mem (module_of c) forbidden_modules then
+      report rule_d3 e.exp_loc
+        (Printf.sprintf
+           "%s: %s is forbidden in lib/ (nondeterministic or \
+            representation-dependent); annotate [@cdna.nondet_ok] if this is \
+            diagnostics-only"
+           c (module_of c));
+    if not !privileged then begin
+      if SSet.mem c ownership_fns && not (SSet.mem !layer ownership_layers)
       then
-        self#report loc rule_d2
+        report rule_p1 e.exp_loc
           (Printf.sprintf
-             "polymorphic %s: use a typed comparison (Int.compare, \
-              String.compare, ...) or annotate [@cdna.polyeq_ok]"
-             k2);
-      (* D3: nondeterministic primitives. *)
-      if SSet.mem k2 forbidden_idents then
-        self#report loc rule_d3
+             "%s mutates page ownership / DMA permissions; only lib/xen, \
+              lib/host and lib/memory may (or declare the module \
+              [@@@cdna.privileged \"reason\"])"
+             c);
+      if SSet.mem c byte_access_fns && SSet.mem !layer guest_layers then
+        report rule_p2 e.exp_loc
           (Printf.sprintf
-             "%s is nondeterministic; route randomness through Sim.Rng and \
-              time through Sim.Engine, or annotate [@cdna.nondet_ok]"
-             k2)
-      else if SSet.mem (owning_module parts) forbidden_modules then
-        self#report loc rule_d3
-          (Printf.sprintf
-             "%s: %s is forbidden in lib/ (nondeterministic or \
-              representation-dependent); annotate [@cdna.nondet_ok] if this \
-              is diagnostics-only"
-             k2 (owning_module parts));
-      (* P1 / P2: protection boundaries. *)
-      if not privileged then begin
-        if SSet.mem k2 ownership_fns && not (ownership_privileged file) then
-          self#report loc rule_p1
-            (Printf.sprintf
-               "%s mutates page ownership / DMA permissions; only lib/xen, \
-                lib/host and lib/memory may (or declare the module \
-                [@@@cdna.privileged \"reason\"])"
-               k2);
-        if SSet.mem k2 byte_access_fns && guest_restricted file then
-          self#report loc rule_p2
-            (Printf.sprintf
-               "%s bypasses DMA protection: lib/nic and lib/guestos must \
-                reach guest memory through Bus.Dma_engine (or justify with \
-                [@cdna.protection_ok])"
-               k2)
-      end
-
-    (* A-rule helper: a constructor payload that the compiler allocates
-       statically (structured constant) is not a runtime allocation. *)
-    method private static_payload (e : expression) =
-      let rec const (e : expression) =
-        match e.pexp_desc with
-        | Pexp_constant _ -> true
-        | Pexp_construct (_, None) -> true
-        | Pexp_construct (_, Some arg) -> const arg
-        | Pexp_variant (_, None) -> true
-        | Pexp_variant (_, Some arg) -> const arg
-        | Pexp_tuple es -> List.for_all const es
-        | _ -> false
-      in
-      const e
-
-    method private check_hot_call (loc : Location.t) parts nargs =
-      let k2 = key2 parts and k1 = key1 parts in
-      let qualified = List.length parts > 1 in
-      if qualified then begin
-        if SSet.mem k2 allow_qualified then ()
-        else if SSet.mem (owning_module parts) boxed_arith_modules then
-          self#report loc rule_a5
-            (Printf.sprintf "%s works on boxed numbers in a [@cdna.hot] body"
-               k2)
-        else
-          match Hashtbl.find_opt ctx.hot_table k2 with
-          | Some arity ->
-              if arity > 0 && nargs < arity then
-                self#report loc rule_a4
-                  (Printf.sprintf
-                     "partial application of %s (%d of %d args) builds a \
-                      closure in a [@cdna.hot] body"
-                     k2 nargs arity)
-          | None ->
-              self#report loc rule_a3
-                (Printf.sprintf
-                   "[@cdna.hot] body calls %s, which is neither [@cdna.hot] \
-                    nor an allowlisted primitive"
-                   k2)
-      end
-      else if SSet.mem k1 float_operators then
-        self#report loc rule_a5
-          (Printf.sprintf
-             "float operator %s boxes its result in a [@cdna.hot] body" k1)
-      else if SSet.mem k1 alloc_operators then
-        self#report loc rule_a1
-          (Printf.sprintf "%s allocates in a [@cdna.hot] body" k1)
-      else if is_operator_name k1 then ()
-      else if SSet.mem k1 allow_bare then ()
-      else if SSet.mem k1 local_hot then begin
-        match
-          Hashtbl.find_opt ctx.hot_table (module_of_path file ^ "." ^ k1)
-        with
-        | Some arity when arity > 0 && nargs < arity ->
-            self#report loc rule_a4
-              (Printf.sprintf
-                 "partial application of %s (%d of %d args) builds a closure \
-                  in a [@cdna.hot] body"
-                 k1 nargs arity)
-        | _ -> ()
-      end
-      else if SSet.mem k1 local_toplevel then
-        self#report loc rule_a3
-          (Printf.sprintf
-             "[@cdna.hot] body calls %s, a module-level function that is not \
-              [@cdna.hot]"
-             k1)
-      (* Bare non-toplevel idents are parameters or locals (callbacks,
-         closures passed in): allowed — the caller is responsible. *)
-
-    method! value_binding vb =
-      let saved_hot = in_hot and saved_sup = suppressed in
-      let rules = self#suppression_rules vb.pvb_attributes in
-      suppressed <- SSet.union suppressed (SSet.of_list rules);
-      if has_attr "cdna.hot" vb.pvb_attributes then in_hot <- true;
-      (* The binding's own leading [fun] chain is the function itself,
-         and a *named* local function is compiled statically when every
-         use is a direct call (escapes show up as A1/A2/A3 at the escape
-         site) — neither is a closure allocation. *)
-      if in_hot then begin
-        match vb.pvb_expr.pexp_desc with
-        | Pexp_function _ -> allowed_funs <- vb.pvb_expr :: allowed_funs
-        | _ -> ()
-      end;
-      super#value_binding vb;
-      in_hot <- saved_hot;
-      suppressed <- saved_sup
-
-    method! expression e =
-      let saved_hot = in_hot and saved_sup = suppressed in
-      let saved_aliases = mod_aliases in
-      let rules = self#suppression_rules e.pexp_attributes in
-      suppressed <- SSet.union suppressed (SSet.of_list rules);
-      (* A let-module alias scopes over the body walked below;
-         [saved_aliases] restores it on exit. *)
-      (match e.pexp_desc with
-      | Pexp_letmodule (name, me, _) -> self#record_alias name.txt me
-      | _ -> ());
-      (match e.pexp_desc with
-      | Pexp_ident { txt; loc } ->
-          self#check_ident loc (self#expand (flatten_lid txt))
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> begin
-          let parts = self#expand (flatten_lid txt) in
-          let k2 = key2 parts and k1 = key1 parts in
-          (* Mark arguments fed into a sort as order-safe. *)
-          let mark_if_unordered (arg : expression) =
-            match arg.pexp_desc with
-            | Pexp_apply ({ pexp_desc = Pexp_ident { txt = f; _ }; _ }, _)
-              when SSet.mem (key2 (self#expand (flatten_lid f))) unordered_fns
-              ->
-                sorted_ok <- arg :: sorted_ok
-            | _ -> ()
-          in
-          if SSet.mem k2 sort_fns then
-            List.iter (fun (_, a) -> mark_if_unordered a) args
-          else if k1 = "|>" then begin
-            match args with
-            | [ (_, lhs); (_, rhs) ] -> (
-                match rhs.pexp_desc with
-                | Pexp_apply
-                    ({ pexp_desc = Pexp_ident { txt = f; _ }; _ }, _)
-                  when SSet.mem (key2 (self#expand (flatten_lid f))) sort_fns ->
-                    mark_if_unordered lhs
-                | _ -> ())
-            | _ -> ()
-          end
-          else if k1 = "@@" then begin
-            match args with
-            | [ (_, lhs); (_, rhs) ] -> (
-                match lhs.pexp_desc with
-                | Pexp_apply
-                    ({ pexp_desc = Pexp_ident { txt = f; _ }; _ }, _)
-                  when SSet.mem (key2 (self#expand (flatten_lid f))) sort_fns ->
-                    mark_if_unordered rhs
-                | _ -> ())
-            | _ -> ()
-          end;
-          (* D1: unordered iteration, unless sorted or annotated. *)
-          if
-            SSet.mem k2 unordered_fns
-            && not (List.memq e sorted_ok)
-          then
-            self#report e.pexp_loc rule_d1
-              (Printf.sprintf
-                 "%s iterates in hash order; sort the result by a stable key \
-                  (List.sort around the fold) or annotate [@cdna.unordered_ok \
-                  \"reason\"]"
-                 k2);
-          (* D2: comparison operators on syntactically structured operands. *)
-          if SSet.mem k1 cmp_ops && List.length parts = 1 then begin
-            let compound (arg : expression) =
-              match arg.pexp_desc with
-              | Pexp_tuple _ | Pexp_record _ | Pexp_array _ | Pexp_lazy _ ->
-                  true
-              | Pexp_construct ({ txt = Lident "()"; _ }, None) -> false
-              | Pexp_construct (_, Some _) -> true
-              | Pexp_variant (_, Some _) -> true
-              | _ -> false
-            in
-            if List.exists (fun (_, a) -> compound a) args then
-              self#report e.pexp_loc rule_d2
-                (Printf.sprintf
-                   "polymorphic (%s) on a structured value; compare the \
-                    fields explicitly or use a typed equal"
-                   k1)
-          end;
-          (* A: hot-path call discipline. *)
-          if in_hot then
-            if SSet.mem k2 cold_exits || (List.length parts = 1 && SSet.mem k1 cold_exits)
-            then begin
-              (* Error exits leave the steady-state path: skip allocation
-                 checks inside their payload, but keep D/P checks. *)
-              in_hot <- false
-            end
-            else self#check_hot_call e.pexp_loc parts (List.length args)
-        end
-      | Pexp_tuple _ when in_hot && not (self#static_payload e) ->
-          self#report e.pexp_loc rule_a1
-            "tuple construction allocates in a [@cdna.hot] body"
-      | Pexp_record _ when in_hot ->
-          self#report e.pexp_loc rule_a1
-            "record construction allocates in a [@cdna.hot] body"
-      | Pexp_array _ when in_hot ->
-          self#report e.pexp_loc rule_a1
-            "array literal allocates in a [@cdna.hot] body"
-      | Pexp_construct (_, Some _) when in_hot && not (self#static_payload e)
-        ->
-          self#report e.pexp_loc rule_a1
-            "constructor application allocates in a [@cdna.hot] body \
-             (return bare values, or annotate [@cdna.alloc_ok])"
-      | Pexp_variant (_, Some _) when in_hot && not (self#static_payload e) ->
-          self#report e.pexp_loc rule_a1
-            "polymorphic-variant payload allocates in a [@cdna.hot] body"
-      | Pexp_lazy _ when in_hot ->
-          self#report e.pexp_loc rule_a1
-            "lazy suspension allocates in a [@cdna.hot] body"
-      | (Pexp_object _ | Pexp_pack _ | Pexp_letmodule _) when in_hot ->
-          self#report e.pexp_loc rule_a1
-            "first-class module / object allocates in a [@cdna.hot] body"
-      | Pexp_constant (Pconst_float _) when in_hot ->
-          self#report e.pexp_loc rule_a5
-            "float literal in a [@cdna.hot] body (float results are boxed)"
-      | Pexp_function _ when in_hot && not (List.memq e allowed_funs) ->
-          self#report e.pexp_loc rule_a2
-            "anonymous function captures its environment (closure \
-             allocation) in a [@cdna.hot] body; name it with [let] or \
-             annotate [@cdna.alloc_ok]"
-      | _ -> ());
-      super#expression e;
-      in_hot <- saved_hot;
-      suppressed <- saved_sup;
-      mod_aliases <- saved_aliases
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Per-file driver                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let parse_file path contents =
-  let lexbuf = Lexing.from_string contents in
-  lexbuf.lex_curr_p <-
-    { pos_fname = path; pos_lnum = 1; pos_bol = 0; pos_cnum = 0 };
-  Parse.implementation lexbuf
-
-let toplevel_names structure =
-  List.fold_left
-    (fun (all, hot) (item : structure_item) ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.fold_left
-            (fun (all, hot) (vb : value_binding) ->
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } ->
-                  ( SSet.add txt all,
-                    if has_attr "cdna.hot" vb.pvb_attributes then
-                      SSet.add txt hot
-                    else hot )
-              | _ -> (all, hot))
-            (all, hot) vbs
-      | _ -> (all, hot))
-    (SSet.empty, SSet.empty) structure
-
-let file_privileged ctx structure =
-  List.exists
-    (fun (item : structure_item) ->
-      match item.pstr_desc with
-      | Pstr_attribute a when a.attr_name.txt = "cdna.privileged" ->
-          bump ctx.suppressions "cdna.privileged";
+             "%s bypasses DMA protection: lib/nic and lib/guestos must reach \
+              guest memory through Bus.Dma_engine (or justify with \
+              [@cdna.protection_ok])"
+             c)
+    end
+  in
+  (* [c args], where [c] heads the application; the typechecker has
+     already rewritten [x |> f a] and [f a @@ x] into [f a x]. *)
+  let check_apply (e : Typedtree.expression) c args =
+    let head, all_args = flatten_apply e in
+    let mark (a : Typedtree.expression) =
+      match a.exp_desc with
+      | Typedtree.Texp_apply (f, _) when SSet.mem (name f) unordered_fns ->
+          sorted_ok := a :: !sorted_ok
+      | _ -> ()
+    in
+    if SSet.mem (name head) sort_fns then List.iter mark all_args;
+    if SSet.mem c unordered_fns && not (List.memq e !sorted_ok) then
+      report rule_d1 e.exp_loc
+        (Printf.sprintf
+           "%s iterates in hash order; sort the result by a stable key \
+            (List.sort around the fold) or annotate [@cdna.unordered_ok \
+            \"reason\"]"
+           c);
+    let compound (a : Typedtree.expression) =
+      match a.exp_desc with
+      | Typedtree.Texp_tuple _ | Texp_record _ | Texp_array _ | Texp_lazy _
+      | Texp_construct (_, _, _ :: _)
+      | Texp_variant (_, Some _) ->
           true
-      | _ -> false)
-    structure
-
-(* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* [run files] lints [(path, contents)] pairs. [path] determines both
-   diagnostics and which boundary rules apply. *)
-let run (files : (string * string) list) : diag list * stats =
-  let ctx =
-    { hot_table = Hashtbl.create 64; diags = []; suppressions = Hashtbl.create 8 }
+      | _ -> false
+    in
+    if SSet.mem c cmp_ops && List.exists compound args then
+      report rule_d2 e.exp_loc
+        (Printf.sprintf
+           "polymorphic (%s) on a structured value; compare the fields \
+            explicitly or use a typed equal"
+           (display c))
   in
-  let parsed =
-    List.map
-      (fun (path, contents) ->
-        match parse_file path contents with
-        | structure -> (path, Some structure)
-        | exception exn ->
-            let msg =
-              match Location.Error.of_exn exn with
-              | Some e -> Location.Error.message e
-              | None -> Printexc.to_string exn
-            in
-            ctx.diags <-
-              { file = path; line = 1; col = 0; rule = rule_parse; msg }
-              :: ctx.diags;
-            (path, None))
-      files
+  let scoped f =
+    let saved = !sup in
+    f ();
+    sup := saved
   in
-  let hot_table = collect_hot parsed in
-  Hashtbl.iter (fun k v -> Hashtbl.replace ctx.hot_table k v) hot_table;
-  List.iter
-    (fun (path, structure) ->
-      match structure with
-      | None -> ()
-      | Some structure ->
-          let all, hot = toplevel_names structure in
-          let privileged = file_privileged ctx structure in
-          let c = new checker ctx path all hot privileged in
-          c#structure structure)
-    parsed;
-  let diags = List.sort diag_compare ctx.diags in
-  let rule_counts =
-    List.filter_map
-      (fun r ->
-        match List.length (List.filter (fun d -> d.rule = r) diags) with
-        | 0 -> None
-        | n -> Some (r, n))
-      all_rules
-  in
-  let suppression_counts =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.suppressions []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  ( diags,
+  let open Tast_iterator in
+  let it =
     {
-      files_scanned = List.length files;
-      hot_functions = Hashtbl.length ctx.hot_table;
-      violations = List.length diags;
-      rule_counts;
-      suppression_counts;
-    } )
+      default_iterator with
+      structure =
+        (fun it str ->
+          let saved = (!layer, !privileged) in
+          let attrs = floating_attrs str in
+          List.iter
+            (fun a ->
+              if attr_name a = "cdna.privileged" then count "cdna.privileged")
+            attrs;
+          let l, p = refine_scope saved attrs in
+          layer := l;
+          privileged := p;
+          default_iterator.structure it str;
+          layer := fst saved;
+          privileged := snd saved);
+      value_binding =
+        (fun it vb ->
+          scoped (fun () ->
+              suppress vb.vb_attributes;
+              default_iterator.value_binding it vb));
+      expr =
+        (fun it e ->
+          scoped (fun () ->
+              suppress (expr_attrs e);
+              (match e.exp_desc with
+              | Typedtree.Texp_ident _ -> check_ident e (name e)
+              | Typedtree.Texp_apply (f, args) ->
+                  check_apply e (name f) (List.filter_map snd args)
+              | _ -> ());
+              default_iterator.expr it e));
+    }
+  in
+  List.iter
+    (fun (file, str) ->
+      layer := layer_of_file file;
+      privileged := false;
+      it.structure it str)
+    prog.units
 
-let diags_to_json diags =
-  Sim.Json.List
-    (List.map
-       (fun d ->
-         Sim.Json.Obj
-           [
-             ("file", Sim.Json.String d.file);
-             ("line", Sim.Json.Int d.line);
-             ("col", Sim.Json.Int d.col);
-             ("rule", Sim.Json.String d.rule);
-             ("msg", Sim.Json.String d.msg);
-           ])
-       diags)
+(* ------------------------------------------------------------------ *)
+(* A: allocation reachable from [@cdna.hot] entries                    *)
+(* ------------------------------------------------------------------ *)
 
-let stats_to_json s =
+let is_hot attrs = has_attr "cdna.hot" attrs
+
+let alloc_ok attrs ~default =
+  match find_attr "cdna.alloc_ok" attrs with
+  | Some a -> Some (Option.value (attr_reason a) ~default:"")
+  | None -> default
+
+(* A payload the compiler allocates statically (a structured constant). *)
+let rec static (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_constant _ -> true
+  | Typedtree.Texp_construct (_, _, args) -> List.for_all static args
+  | Typedtree.Texp_variant (_, arg) -> Option.fold ~none:true ~some:static arg
+  | Typedtree.Texp_tuple es -> List.for_all static es
+  | _ -> false
+
+(* The allocation [e] itself performs, other than calls and closures. *)
+let alloc_site (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_tuple _ when not (static e) ->
+      Some (rule_a1, "tuple construction allocates")
+  | Typedtree.Texp_record _ -> Some (rule_a1, "record construction allocates")
+  | Typedtree.Texp_array (_ :: _) -> Some (rule_a1, "array literal allocates")
+  | Typedtree.Texp_construct (_, _, _ :: _) when not (static e) ->
+      Some (rule_a1, "constructor application allocates")
+  | Typedtree.Texp_variant (_, Some _) when not (static e) ->
+      Some (rule_a1, "polymorphic-variant payload allocates")
+  | Typedtree.Texp_lazy _ -> Some (rule_a1, "lazy suspension allocates")
+  | Typedtree.Texp_object _ | Texp_pack _ | Texp_letmodule _ ->
+      Some (rule_a1, "first-class module / object allocates")
+  | Typedtree.Texp_constant (Asttypes.Const_float _) ->
+      Some (rule_a5, "float literal (float results are boxed)")
+  | _ -> None
+
+(* What calling [c], which is not a lib function, costs. *)
+let external_call c =
+  if SSet.mem c allowed || not (String.contains c '.') then None
+  else if SSet.mem (module_of c) boxed_arith_modules then
+    Some (rule_a5, display c ^ " works on boxed numbers")
+  else if SSet.mem c float_operators then
+    Some (rule_a5, "float operator " ^ display c ^ " boxes its result")
+  else if SSet.mem c alloc_operators then
+    Some (rule_a1, display c ^ " allocates")
+  else if is_operator_name (last_comp c) then None
+  else
+    Some
+      ( rule_a3,
+        Printf.sprintf
+          "calls %s (neither [@cdna.hot] nor an allowlisted primitive)"
+          (display c) )
+
+let arity (g : fn) =
+  List.length g.f_params
+  + match g.f_body.exp_desc with Typedtree.Texp_function _ -> 1 | _ -> 0
+
+(* One body's allocation sites, as (rule, what, loc, suppression), and
+   the non-hot lib functions it calls or passes as values outside a
+   suppressed subtree, with the line of the reference. The body's own
+   leading [fun] chain, and a named local function, are compiled
+   statically when every use is a direct call: not closures. *)
+let classify prog ~toplevel ~modname ~sup body =
+  let sites = ref [] and calls = ref [] in
+  let lib_fn (fe : Typedtree.expression) =
+    match fe.exp_desc with
+    | Typedtree.Texp_ident (Path.Pident id, _, _)
+      when not (Ident.Set.mem id toplevel) ->
+        None (* a parameter or local binding *)
+    | Typedtree.Texp_ident (p, _, _) ->
+        find_fn prog ~modname (canon_of prog.aliases (Path.name p))
+    | _ -> None
+  in
+  let rec visit sup (e : Typedtree.expression) =
+    let sup = alloc_ok (expr_attrs e) ~default:sup in
+    let site (rule, what) = sites := (rule, what, e.exp_loc, sup) :: !sites in
+    let call (g : fn) =
+      if sup = None && not (is_hot g.f_attrs) then
+        calls := (g, loc_line e.exp_loc) :: !calls
+    in
+    match (e.exp_desc, flatten_apply e) with
+    | ( Typedtree.Texp_apply _,
+        (({ exp_desc = Texp_ident (p, _, _); _ } as fe), args) ) ->
+        let c = canon_of prog.aliases (Path.name p) in
+        if not (SSet.mem c cold_exits) then begin
+          (match lib_fn fe with
+          | Some g ->
+              let n = List.length args in
+              if n < arity g then
+                site
+                  ( rule_a4,
+                    Printf.sprintf
+                      "partial application of %s (%d of %d args) builds a \
+                       closure"
+                      (display c) n (arity g) );
+              call g
+          | None -> Option.iter site (external_call c));
+          List.iter (visit sup) args
+        end
+    | Typedtree.Texp_ident _, _ -> Option.iter call (lib_fn e)
+    | Typedtree.Texp_let (_, vbs, body), _ ->
+        List.iter
+          (fun (vb : Typedtree.value_binding) ->
+            visit_fun (alloc_ok vb.vb_attributes ~default:sup) vb.vb_expr)
+          vbs;
+        visit sup body
+    | Typedtree.Texp_function _, _ ->
+        site
+          ( rule_a2,
+            "anonymous function captures its environment (closure \
+             allocation)" );
+        visit_fun sup e
+    | _ ->
+        Option.iter site (alloc_site e);
+        iter_children (visit sup) e
+  and visit_fun sup (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Typedtree.Texp_function { cases; _ } ->
+        let sup = alloc_ok (expr_attrs e) ~default:sup in
+        List.iter
+          (fun (c : _ Typedtree.case) ->
+            Option.iter (visit sup) c.c_guard;
+            visit_fun sup c.c_rhs)
+          cases
+    | _ -> visit sup e
+  in
+  visit_fun sup body;
+  (List.rev !sites, List.rev !calls)
+
+(* Depth-first from each hot entry over the non-hot lib functions it
+   reaches; every site is reported with the chain that reaches it. *)
+let check_hot prog add =
+  let toplevel =
+    List.fold_left
+      (fun s b ->
+        match pat_var b.b_vb.vb_pat with
+        | Some (id, _) -> Ident.Set.add id s
+        | None -> s)
+      Ident.Set.empty prog.bindings
+  in
+  List.iter
+    (fun b ->
+      if is_hot b.b_vb.vb_attributes then begin
+        let visited = Hashtbl.create 16 in
+        let rec walk ~id ~file ~modname ~where ~sup ~path body =
+          let sites, calls = classify prog ~toplevel ~modname ~sup body in
+          List.iter
+            (fun (rule, what, loc, sup) ->
+              add (viol ~chain:path ~sup rule loc (what ^ where)))
+            sites;
+          List.iter
+            (fun ((g : fn), line) ->
+              if not (Hashtbl.mem visited g.f_id) then begin
+                Hashtbl.add visited g.f_id ();
+                walk ~id:g.f_id ~file:g.f_file ~modname:g.f_module
+                  ~where:
+                    (Printf.sprintf " in %s, reachable from [@cdna.hot] code"
+                       g.f_id)
+                  ~sup:(alloc_ok g.f_attrs ~default:None)
+                  ~path:
+                    (path
+                    @ [
+                        hop_at
+                          (Printf.sprintf "%s calls %s" id g.f_id)
+                          file line;
+                      ])
+                  g.f_body
+              end)
+            calls
+        in
+        Hashtbl.add visited b.b_id ();
+        walk ~id:b.b_id ~file:b.b_scope.s_file ~modname:b.b_scope.s_module
+          ~where:" in a [@cdna.hot] body"
+          ~sup:(alloc_ok b.b_vb.vb_attributes ~default:None)
+          ~path:
+            [
+              hop_at ("hot entry " ^ b.b_id) b.b_scope.s_file
+                (loc_line b.b_vb.vb_loc);
+            ]
+          b.b_vb.vb_expr
+      end)
+    prog.bindings
+
+(* ------------------------------------------------------------------ *)
+(* Driving                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let analyze (prog : Program.t) =
+  let viols = ref [] and annots = ref [] in
+  let add v = viols := v :: !viols in
+  check_structures prog add annots;
+  check_hot prog add;
+  let violations, suppressed = finalize (List.rev !viols) in
+  let hot =
+    List.filter_map
+      (fun b -> if is_hot b.b_vb.vb_attributes then Some b.b_id else None)
+      prog.bindings
+  in
+  {
+    cmt_files = prog.files;
+    hot_functions = SSet.cardinal (SSet.of_list hot);
+    violations;
+    suppressed;
+    suppressions = count_by Fun.id !annots;
+  }
+
+let report_to_json r =
   Sim.Json.Obj
     [
-      ("files_scanned", Sim.Json.Int s.files_scanned);
-      ("hot_functions", Sim.Json.Int s.hot_functions);
-      ("violations", Sim.Json.Int s.violations);
-      ( "rules",
-        Sim.Json.Obj
-          (List.map (fun (r, n) -> (r, Sim.Json.Int n)) s.rule_counts) );
-      ( "suppressions",
-        Sim.Json.Obj
-          (List.map
-             (fun (r, n) -> (r, Sim.Json.Int n))
-             s.suppression_counts) );
+      ("files_scanned", Sim.Json.Int r.cmt_files);
+      ("hot_functions", Sim.Json.Int r.hot_functions);
+      ("violations", Sim.Json.Int (List.length r.violations));
+      ("rules", rule_counts_json r.violations);
+      ("suppressions", counts_json r.suppressions);
     ]

@@ -405,7 +405,7 @@ let in_frame ctx frame f =
 let record_violation ctx ~sup ~rule ~(at : hop) ~msg ~chain =
   if ctx.report then
     ctx.viols :=
-      { rule; file = at.hop_file; line = at.hop_line; msg; chain;
+      { rule; file = at.hop_file; line = at.hop_line; col = None; msg; chain;
         suppress = sup }
       :: !(ctx.viols)
 

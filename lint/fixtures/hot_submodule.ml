@@ -1,6 +1,5 @@
 (* A [@cdna.hot] binding inside a submodule must resolve for hot callers
-   under its innermost-module name (collect_hot descends into
-   Pstr_module), mirroring Sim.Stats.Histogram.add. *)
+   under its innermost-module name, mirroring Sim.Stats.Histogram.add. *)
 
 module Histo = struct
   type t = { mutable n : int; mutable sum : int }

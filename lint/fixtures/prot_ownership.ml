@@ -1,7 +1,18 @@
-(* P1 (linted under a pretend lib/nic/ path): ownership mutation outside
-   the hypervisor layers. *)
+(* P1: ownership mutation outside the hypervisor layers. *)
+[@@@cdna.layer "nic"]
 let steal mem pfn dom =
-  ignore (Memory.Phys_mem.transfer mem pfn ~to_:dom);
-  Memory.Phys_mem.get_ref mem pfn
+  ignore (Lint_env.Phys_mem.transfer mem pfn ~to_:dom);
+  Lint_env.Phys_mem.get_ref mem pfn
 
-let leak iommu ~context pfn = Memory.Iommu.grant iommu ~context pfn
+let leak iommu ~context pfn = Lint_env.Iommu.grant iommu ~context pfn
+
+(* The same calls inside the hypervisor layers are fine. *)
+module Xen = struct
+  [@@@cdna.layer "xen"]
+
+  let steal mem pfn dom =
+    ignore (Lint_env.Phys_mem.transfer mem pfn ~to_:dom);
+    Lint_env.Phys_mem.get_ref mem pfn
+
+  let leak iommu ~context pfn = Lint_env.Iommu.grant iommu ~context pfn
+end

@@ -15,5 +15,5 @@ let[@cdna.polyeq_ok "keys are int pairs, compared structurally on purpose"] same
 let[@cdna.hot] wrapped x = Some (x * 2) [@cdna.alloc_ok "boxed result accepted"]
 
 let flip mem pfn dom =
-  (Memory.Phys_mem.transfer mem pfn ~to_:dom
+  (Lint_env.Phys_mem.transfer mem pfn ~to_:dom
   [@cdna.protection_ok "fixture: models a hypervisor-mediated flip"])

@@ -1,20 +1,20 @@
 (* cdna_lint / cdna_flow / cdna_dom / cdna_proto CLI.
 
    Usage:
-     main.exe [--json FILE] [--stats FILE] [--quiet] [--format text|github]
-              [--cmt CMT_DIR] [--only RULE] [--gate BASELINE] [DIR|FILE]...
+     main.exe --cmt CMT_DIR [--json FILE] [--stats FILE] [--quiet]
+              [--format text|github] [--only RULE] [--gate BASELINE]
 
-   Walks every [.ml] under the given roots (default: [lib]) through the
-   parsetree checker. With [--cmt] it also loads the compiled [.cmt]
-   tree rooted at CMT_DIR once ([Program.load]) and runs the three
-   typedtree passes over it: the interprocedural flow verifier, the
-   domain-safety / race detector and the resource-protocol (typestate)
-   verifier. One invocation runs all passes and exits with a single
-   combined code.
+   Loads the compiled [.cmt] tree rooted at CMT_DIR once
+   ([Program.load]) and runs the four passes over it: the
+   per-expression rules (determinism, hot-path allocation, protection
+   boundaries), the interprocedural flow verifier, the domain-safety /
+   race detector and the resource-protocol (typestate) verifier. One
+   invocation runs all passes and exits with a single combined code.
 
-   Exit codes: 0 clean, 1 violations found, 2 usage or I/O error, an
-   unreadable .cmt, or a summary fixpoint that did not converge (a run
-   that cannot be trusted never reports).
+   Exit codes: 0 clean, 1 violations found, 2 usage or I/O error
+   (including a missing [--cmt]), an unreadable .cmt, or a summary
+   fixpoint that did not converge (a run that cannot be trusted never
+   reports).
 
    [--only RULE] restricts the rendered report and the exit code to
    violations of RULE — either a full rule name ("PR1-leak-on-path") or
@@ -24,21 +24,21 @@
    [--format github] emits `::error file=...,line=...::msg` annotations
    for CI logs instead of the human-readable report.
 
-   [--json] writes the parsetree diagnostics and [--stats] the combined
-   run summary (rules hit, files scanned, suppression counts, per-pass
-   reports) as deterministic Sim.Json documents so CI can archive them.
-   The stats document also carries a [timing] block (per-pass wall time
-   in milliseconds, input count, and fixpoint rounds for flow and
-   proto); it is diagnostic only and is never consulted by the drift
-   gate.
+   [--json] writes every pass's unsuppressed violations as one list and
+   [--stats] the combined run summary (rules hit, files scanned,
+   suppression counts, per-pass reports) as deterministic Sim.Json
+   documents so CI can archive them. The stats document also carries a
+   [timing] block (per-pass wall time in milliseconds, input count, and
+   fixpoint rounds for flow and proto); it is diagnostic only and is
+   never consulted by the drift gate.
 
    [--gate BASELINE] is the suppression-drift gate: after computing the
    current stats it fails (exit 1) if the unsuppressed-violation count or
    any suppression count grew versus the committed BASELINE file. *)
 
 let usage =
-  "usage: cdna_lint [--json FILE] [--stats FILE] [--quiet] [--format \
-   text|github] [--cmt CMT_DIR] [--only RULE] [--gate BASELINE] [PATH]..."
+  "usage: cdna_lint --cmt CMT_DIR [--json FILE] [--stats FILE] [--quiet] \
+   [--format text|github] [--only RULE] [--gate BASELINE]"
 
 let usage_error msg =
   prerr_endline ("cdna_lint: " ^ msg);
@@ -149,7 +149,6 @@ let () =
   let cmt_root = ref None in
   let only = ref None in
   let gate = ref None in
-  let roots = ref [] in
   let rec parse_args = function
     | [] -> ()
     | "--json" :: f :: rest ->
@@ -184,21 +183,11 @@ let () =
         usage_error "missing option argument"
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
         usage_error ("unknown option " ^ arg)
-    | path :: rest ->
-        roots := path :: !roots;
-        parse_args rest
+    | arg :: _ -> usage_error ("unexpected argument " ^ arg)
   in
   parse_args (List.tl (Array.to_list Sys.argv));
-  let roots = if !roots = [] then [ "lib" ] else List.rev !roots in
-  List.iter
-    (fun r ->
-      if not (Sys.file_exists r) then
-        usage_error ("no such path: " ^ r))
-    roots;
-  let files =
-    List.fold_left (Program.collect_files ".ml") [] roots
-    |> List.sort_uniq String.compare
-    |> List.map (fun p -> (p, read_file p))
+  let cmt_root =
+    match !cmt_root with Some d -> d | None -> usage_error "--cmt is required"
   in
   (* Per-pass wall time: diagnostic only (stats [timing] block and the
      summary line), deliberately outside the drift gate. *)
@@ -210,105 +199,70 @@ let () =
     timings := !timings @ [ (name, ("ms", ms) :: facts r) ];
     r
   in
-  let diags, stats =
-    timed "lint"
-      (fun _ -> [ ("inputs", List.length files) ])
-      (fun () -> Cdna_lint.run files)
+  let lint, flow, dom, proto =
+    try
+      let prog =
+        timed "load"
+          (fun (p : Program.t) -> [ ("inputs", p.files) ])
+          (fun () -> Program.load cmt_root)
+      in
+      let inputs _ = [ ("inputs", prog.files) ] in
+      let lint = timed "lint" inputs (fun () -> Cdna_lint.analyze prog) in
+      let flow =
+        timed "flow"
+          (fun (r : Cdna_flow.report) -> inputs () @ [ ("rounds", r.rounds) ])
+          (fun () -> Cdna_flow.analyze prog)
+      in
+      let dom = timed "dom" inputs (fun () -> Cdna_dom.analyze prog) in
+      let proto =
+        timed "proto"
+          (fun (r : Cdna_proto.report) -> inputs () @ [ ("rounds", r.rounds) ])
+          (fun () -> Cdna_proto.analyze prog)
+      in
+      (lint, flow, dom, proto)
+    with e when Program.failure_message e <> None ->
+      prerr_endline ("cdna_lint: " ^ Option.get (Program.failure_message e));
+      exit 2
   in
-  let reports =
-    Option.map
-      (fun d ->
-        try
-          let prog =
-            timed "load"
-              (fun (p : Program.t) -> [ ("inputs", p.files) ])
-              (fun () -> Program.load d)
-          in
-          let inputs = [ ("inputs", prog.files) ] in
-          let flow =
-            timed "flow"
-              (fun (r : Cdna_flow.report) -> inputs @ [ ("rounds", r.rounds) ])
-              (fun () -> Cdna_flow.analyze prog)
-          in
-          let dom =
-            timed "dom" (fun _ -> inputs) (fun () -> Cdna_dom.analyze prog)
-          in
-          let proto =
-            timed "proto"
-              (fun (r : Cdna_proto.report) -> inputs @ [ ("rounds", r.rounds) ])
-              (fun () -> Cdna_proto.analyze prog)
-          in
-          (flow, dom, proto)
-        with e when Program.failure_message e <> None ->
-          prerr_endline
-            ("cdna_lint: " ^ Option.get (Program.failure_message e));
-          exit 2)
-      !cmt_root
+  let violations =
+    lint.violations @ flow.violations @ dom.violations @ proto.violations
   in
-  (* [--only]: the filtered views drive rendering and the exit code; the
+  (* [--only]: the filtered view drives rendering and the exit code; the
      stats artifact below is always computed from the full reports. *)
-  let only = !only in
-  let shown_diags =
-    List.filter (fun d -> Program.rule_matches ~only d.Cdna_lint.rule) diags
+  let shown =
+    List.filter
+      (fun (v : Program.violation) -> Program.rule_matches ~only:!only v.rule)
+      violations
   in
-  let shown_cmt =
-    match reports with
-    | Some
-        ( (flow : Cdna_flow.report),
-          (dom : Cdna_dom.report),
-          (proto : Cdna_proto.report) ) ->
-        List.filter
-          (fun (v : Program.violation) -> Program.rule_matches ~only v.rule)
-          (flow.violations @ dom.violations @ proto.violations)
-    | None -> []
-  in
-  (* Reports. *)
-  (match !format with
-  | `Text ->
-      List.iter
-        (fun d -> print_endline (Cdna_lint.diag_to_string d))
-        shown_diags;
-      List.iter
-        (fun v -> print_endline (Program.violation_to_string v))
-        shown_cmt
-  | `Github ->
-      List.iter
-        (fun d ->
-          Printf.printf "::error file=%s,line=%d,col=%d::[%s] %s\n"
-            d.Cdna_lint.file d.Cdna_lint.line d.Cdna_lint.col
-            d.Cdna_lint.rule
-            (github_escape d.Cdna_lint.msg))
-        shown_diags;
-      List.iter
-        (fun (v : Program.violation) ->
-          Printf.printf "::error file=%s,line=%d::[%s] %s\n" v.file v.line
+  List.iter
+    (fun (v : Program.violation) ->
+      match !format with
+      | `Text -> print_endline (Program.violation_to_string v)
+      | `Github ->
+          Printf.printf "::error file=%s,line=%d%s::[%s] %s\n" v.file v.line
+            (match v.col with Some c -> Printf.sprintf ",col=%d" c | None -> "")
             v.rule
             (github_escape
-               (v.msg ^ "\n" ^ String.concat "\n" (Program.chain_lines v))))
-        shown_cmt);
+               (String.concat "\n" (v.msg :: Program.chain_lines v))))
+    shown;
   (* Artifacts. *)
   let stats_json =
     let blocks =
-      (match reports with
-      | Some (flow, dom, proto) ->
-          [
-            ("flow", Cdna_flow.report_to_json flow);
-            ("dom", Cdna_dom.report_to_json dom);
-            ("proto", Cdna_proto.report_to_json proto);
-          ]
-      | None -> [])
-      @ [
-          ( "timing",
-            Sim.Json.Obj
-              (List.map
-                 (fun (name, facts) ->
-                   ( name,
-                     Sim.Json.Obj
-                       (List.map (fun (k, n) -> (k, Sim.Json.Int n)) facts) ))
-                 !timings) );
-        ]
+      [
+        ("flow", Cdna_flow.report_to_json flow);
+        ("dom", Cdna_dom.report_to_json dom);
+        ("proto", Cdna_proto.report_to_json proto);
+        ( "timing",
+          Sim.Json.Obj
+            (List.map
+               (fun (name, facts) ->
+                 ( name,
+                   Sim.Json.Obj
+                     (List.map (fun (k, n) -> (k, Sim.Json.Int n)) facts) ))
+               !timings) );
+      ]
     in
-    match Cdna_lint.stats_to_json stats with
+    match Cdna_lint.report_to_json lint with
     | Sim.Json.Obj fields -> Sim.Json.Obj (fields @ blocks)
     | j -> j
   in
@@ -321,42 +275,44 @@ let () =
     | None -> true
   in
   (match !json_out with
-  | Some f -> write_file f (Sim.Json.to_string (Cdna_lint.diags_to_json diags) ^ "\n")
+  | Some f ->
+      write_file f
+        (Sim.Json.to_string
+           (Sim.Json.List (List.map Program.violation_to_json violations))
+        ^ "\n")
   | None -> ());
   (match !stats_out with
   | Some f -> write_file f (Sim.Json.to_string stats_json ^ "\n")
   | None -> ());
   if not !quiet then begin
     Printf.printf
-      "cdna_lint: %d file(s), %d hot function(s), %d violation(s), %d \
+      "cdna_lint: %d cmt file(s), %d hot function(s), %d violation(s), %d \
        suppression annotation(s)\n"
-      stats.Cdna_lint.files_scanned stats.Cdna_lint.hot_functions
-      stats.Cdna_lint.violations
-      (List.fold_left
-         (fun acc (_, n) -> acc + n)
-         0 stats.Cdna_lint.suppression_counts);
-    Option.iter
-      (fun ( (f : Cdna_flow.report),
-             (d : Cdna_dom.report),
-             (p : Cdna_proto.report) ) ->
-        Printf.printf
-          "cdna_flow: %d cmt file(s), %d function(s), %d violation(s), %d \
-           suppressed, %d sanitizer(s)\n"
-          f.cmt_files f.functions (List.length f.violations)
-          (List.length f.suppressed) f.sanitizer_fns;
-        Printf.printf
-          "cdna_dom: %d cmt file(s), %d state item(s) [%s], %d violation(s), \
-           %d suppressed, %d domain-local assertion(s)\n"
-          d.cmt_files d.state_items
-          (String.concat ", "
-             (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) d.classes))
-          (List.length d.violations) (List.length d.suppressed) d.domain_local;
-        Printf.printf
-          "cdna_proto: %d cmt file(s), %d function(s), %d protocol(s), %d \
-           violation(s), %d suppressed\n"
-          p.cmt_files p.functions p.protocols (List.length p.violations)
-          (List.length p.suppressed))
-      reports;
+      lint.cmt_files lint.hot_functions
+      (List.length lint.violations)
+      (List.fold_left (fun acc (_, n) -> acc + n) 0 lint.suppressions);
+    Printf.printf
+      "cdna_flow: %d cmt file(s), %d function(s), %d violation(s), %d \
+       suppressed, %d sanitizer(s)\n"
+      flow.cmt_files flow.functions
+      (List.length flow.violations)
+      (List.length flow.suppressed)
+      flow.sanitizer_fns;
+    Printf.printf
+      "cdna_dom: %d cmt file(s), %d state item(s) [%s], %d violation(s), %d \
+       suppressed, %d domain-local assertion(s)\n"
+      dom.cmt_files dom.state_items
+      (String.concat ", "
+         (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) dom.classes))
+      (List.length dom.violations)
+      (List.length dom.suppressed)
+      dom.domain_local;
+    Printf.printf
+      "cdna_proto: %d cmt file(s), %d function(s), %d protocol(s), %d \
+       violation(s), %d suppressed\n"
+      proto.cmt_files proto.functions proto.protocols
+      (List.length proto.violations)
+      (List.length proto.suppressed);
     Printf.printf "cdna timing: %s\n"
       (String.concat ", "
          (List.map
@@ -368,4 +324,4 @@ let () =
                 | None -> ""))
             !timings))
   end;
-  if shown_diags <> [] || shown_cmt <> [] || not gate_ok then exit 1
+  if shown <> [] || not gate_ok then exit 1

@@ -1,13 +1,15 @@
-(* Program — the one analysis core under every [.cmt]-typedtree
-   verification pass ([cdna_flow], [cdna_dom], [cdna_proto]).
+(* Program — the one analysis core under every lint pass ([cdna_lint],
+   [cdna_flow], [cdna_dom], [cdna_proto]), all over [.cmt] typedtrees.
 
    [load] reads a compiled corpus once: cmt discovery, the compiler load
    path (so [cdna_dom] can rehydrate summarized environments), module
-   aliases harvested from implementations and dune's [.ml-gen] alias
-   modules, [@@@cdna.layer] / [@@@cdna.privileged] scope attributes, and
-   one table of toplevel bindings and functions. On top of that sit the
-   call-edge resolver, the violation [finalize] step every pass ends
-   with, and [Fixpoint.Make], the one summary solver.
+   aliases harvested from implementations ([module M = ..] and
+   [let module M = .. in]) and dune's [.ml-gen] alias modules,
+   [@@@cdna.layer] / [@@@cdna.privileged] scope attributes, each file's
+   structure, and one table of toplevel bindings and functions. On top
+   of that sit the call-edge resolver, the one diagnostic type with the
+   violation [finalize] step every pass ends with, and [Fixpoint.Make],
+   the one summary solver.
 
    The passes keep only their own rules and abstract domains; what lives
    here is exactly the code that must agree byte-for-byte across passes
@@ -32,6 +34,7 @@ module Diag = struct
     rule : string;
     file : string;
     line : int;
+    col : int option; (* per-expression rules only *)
     msg : string;
     chain : hop list; (* source -> ... -> sink, oldest first *)
     suppress : string option; (* [Some reason] when suppressed *)
@@ -44,8 +47,11 @@ module Diag = struct
       let c = Int.compare a.line b.line in
       if c <> 0 then c
       else
-        let c = String.compare a.rule b.rule in
-        if c <> 0 then c else String.compare a.msg b.msg
+        let c = Option.compare Int.compare a.col b.col in
+        if c <> 0 then c
+        else
+          let c = String.compare a.rule b.rule in
+          if c <> 0 then c else String.compare a.msg b.msg
 
   (* "1. what at file:line", one per hop. *)
   let chain_lines v =
@@ -57,7 +63,9 @@ module Diag = struct
 
   let violation_to_string v =
     String.concat "\n    "
-      (Printf.sprintf "%s:%d: [%s] %s" v.file v.line v.rule v.msg
+      (Printf.sprintf "%s:%d:%s [%s] %s" v.file v.line
+         (match v.col with Some c -> string_of_int c ^ ":" | None -> "")
+         v.rule v.msg
       :: chain_lines v)
 end
 
@@ -76,14 +84,14 @@ let rule_matches ~only rule =
          && String.sub rule 0 (String.length o) = o
          && rule.[String.length o] = '-'
 
-(* Every pass's last step: drop duplicates on (rule, file, line, msg),
+(* Every pass's last step: drop duplicates on (rule, site, msg),
    keeping the first in [vs]' order, sort deterministically and split
    into (unsuppressed, suppressed). *)
 let finalize vs =
   let seen = Hashtbl.create 64 in
   List.filter
     (fun v ->
-      let k = (v.rule, v.file, v.line, v.msg) in
+      let k = (v.rule, v.file, v.line, v.col, v.msg) in
       (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
     vs
   |> List.sort violation_compare
@@ -104,7 +112,15 @@ let strip_wrap comp =
   in
   if n = 0 then comp else scan 0
 
-let split_on_dot s = String.split_on_char '.' s
+(* "Stdlib.+." -> ["Stdlib"; "+."]: an operator name may contain dots. *)
+let split_on_dot s =
+  let rec go acc = function
+    | c :: rest when c <> "" && String.contains "!$%&*+-/:<=>?@^|~" c.[0] ->
+        List.rev (String.concat "." (c :: rest) :: acc)
+    | c :: rest -> go (c :: acc) rest
+    | [] -> List.rev acc
+  in
+  go [] (String.split_on_char '.' s)
 
 (* Module aliases and functor instances harvested during loading:
    "H" -> "Hashtbl", "SSet" -> "Stdlib.Set". *)
@@ -168,11 +184,24 @@ let loc_file (loc : Location.t) = loc.loc_start.Lexing.pos_fname
 let loc_line (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
 let hop what loc = hop_at what (loc_file loc) (loc_line loc)
 
+(* Whether [path] has the segments [dir] ("lib/nic") as a directory. *)
+let path_has_dir path dir =
+  let path = String.map (fun c -> if c = '\\' then '/' else c) path in
+  let needle = dir ^ "/" in
+  let nl = String.length needle and pl = String.length path in
+  let rec scan i =
+    if i + nl > pl then false
+    else if String.sub path i nl = needle then
+      (* Match whole path segments only. *)
+      i = 0 || path.[i - 1] = '/'
+    else scan (i + 1)
+  in
+  scan 0
+
 (* The source layer a file belongs to, from its path under lib/. *)
 let layer_of_file file =
   List.find_map
-    (fun (dir, layer) ->
-      if Cdna_lint.path_has_dir file dir then Some layer else None)
+    (fun (dir, layer) -> if path_has_dir file dir then Some layer else None)
     [
       ("lib/nic", "nic"); ("lib/guestos", "guestos"); ("lib/xen", "xen");
       ("lib/host", "host"); ("lib/memory", "memory"); ("lib/bus", "bus");
@@ -220,6 +249,7 @@ type fn = {
 
 type t = {
   files : int; (* implementation .cmt files, alias modules excluded *)
+  units : (string * Typedtree.structure) list; (* source file, sorted *)
   aliases : string SMap.t;
   scopes : scope list; (* collection order *)
   bindings : binding list; (* collection order *)
@@ -283,8 +313,31 @@ let pat_var (p : Typedtree.pattern) =
       Some (id, txt)
   | _ -> None
 
+(* A structure's floating attributes. *)
+let floating_attrs (str : Typedtree.structure) =
+  List.filter_map
+    (fun (item : Typedtree.structure_item) ->
+      match item.str_desc with
+      | Typedtree.Tstr_attribute a -> Some a
+      | _ -> None)
+    str.str_items
+
+(* The layer and privilege level a structure's floating attributes give
+   everything in it, submodules included, on top of the enclosing
+   scope's. *)
+let refine_scope (layer, privileged) attrs =
+  List.fold_left
+    (fun (layer, privileged) a ->
+      match attr_name a with
+      | "cdna.privileged" -> (layer, true)
+      | "cdna.layer" ->
+          (Option.value (attr_reason a) ~default:layer, privileged)
+      | _ -> (layer, privileged))
+    (layer, privileged) attrs
+
 type collected = {
   mutable n_files : int;
+  mutable units_rev : (string * Typedtree.structure) list;
   mutable b_aliases : string SMap.t;
   mutable b_scopes : scope list; (* newest first *)
   mutable b_bindings : binding list; (* newest first *)
@@ -292,28 +345,10 @@ type collected = {
 
 let rec collect_module st ~modname ~file ~layer ~privileged
     (str : Typedtree.structure) =
-  let attrs =
-    List.filter_map
-      (fun (item : Typedtree.structure_item) ->
-        match item.str_desc with
-        | Typedtree.Tstr_attribute a -> Some a
-        | _ -> None)
-      str.str_items
-  in
+  let attrs = floating_attrs str in
   let scope = { s_module = modname; s_file = file; s_attrs = attrs } in
   st.b_scopes <- scope :: st.b_scopes;
-  (* Scope attributes refine the layer / privilege level of everything
-     below, submodules included. *)
-  let layer, privileged =
-    List.fold_left
-      (fun (layer, privileged) a ->
-        match attr_name a with
-        | "cdna.privileged" -> (layer, true)
-        | "cdna.layer" ->
-            (Option.value (attr_reason a) ~default:layer, privileged)
-        | _ -> (layer, privileged))
-      (layer, privileged) attrs
-  in
+  let layer, privileged = refine_scope (layer, privileged) attrs in
   List.iter
     (fun (item : Typedtree.structure_item) ->
       match item.str_desc with
@@ -389,7 +424,29 @@ let load_paths paths =
     (List.sort_uniq String.compare (List.map Filename.dirname paths)
     @ [ Config.standard_library ]);
   let st =
-    { n_files = 0; b_aliases = SMap.empty; b_scopes = []; b_bindings = [] }
+    {
+      n_files = 0;
+      units_rev = [];
+      b_aliases = SMap.empty;
+      b_scopes = [];
+      b_bindings = [];
+    }
+  in
+  (* [let module M = <alias> in ..] anywhere in a body. *)
+  let let_module_aliases =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.exp_desc with
+          | Typedtree.Texp_letmodule (Some id, _, _, me, _) ->
+              Option.iter
+                (fun target ->
+                  st.b_aliases <- SMap.add (Ident.name id) target st.b_aliases)
+                (module_alias_target me)
+          | _ -> ());
+          Tast_iterator.default_iterator.expr it e);
+    }
   in
   List.iter
     (fun path ->
@@ -398,6 +455,8 @@ let load_paths paths =
       | Cmt_format.Implementation str, Some src
         when not (Filename.check_suffix src ".ml-gen") ->
           st.n_files <- st.n_files + 1;
+          st.units_rev <- (src, str) :: st.units_rev;
+          let_module_aliases.structure let_module_aliases str;
           collect_module st ~modname:(strip_wrap cmt.cmt_modname) ~file:src
             ~layer:(layer_of_file src) ~privileged:false str
       | Cmt_format.Implementation str, Some _ ->
@@ -436,6 +495,7 @@ let load_paths paths =
   in
   {
     files = st.n_files;
+    units = List.rev st.units_rev;
     aliases = st.b_aliases;
     scopes = List.rev st.b_scopes;
     bindings;
@@ -615,9 +675,9 @@ let hop_to_json h =
 
 let violation_to_json v =
   Sim.Json.Obj
-    ([
-       ("file", Sim.Json.String v.file);
-       ("line", Sim.Json.Int v.line);
+    ([ ("file", Sim.Json.String v.file); ("line", Sim.Json.Int v.line) ]
+    @ (match v.col with Some c -> [ ("col", Sim.Json.Int c) ] | None -> [])
+    @ [
        ("rule", Sim.Json.String v.rule);
        ("msg", Sim.Json.String v.msg);
        ("chain", Sim.Json.List (List.map hop_to_json v.chain));

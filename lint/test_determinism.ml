@@ -5,44 +5,23 @@
    the order the fixture directories happen to be listed in.
 
    This assembles the combined document exactly as [main.exe --stats]
-   does — parsetree block plus one block per .cmt pass — except for the
-   [timing] block, which is wall-clock by definition and therefore
-   excluded from both the gate and this comparison. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let rec collect_ml acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.fold_left
-         (fun acc entry -> collect_ml acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
+   does — the per-expression block plus one block per other pass —
+   except for the [timing] block, which is wall-clock by definition and
+   therefore excluded from both the gate and this comparison. *)
 
 (* The combined stats document (sans timing) over all four fixture
    corpora, with every pass's rendered violations appended. *)
 let combined ~order =
-  let files =
-    collect_ml [] "fixtures"
-    |> List.sort_uniq String.compare
-    |> List.map (fun p -> (p, read_file p))
+  let load root =
+    Program.collect_cmts [] root
+    |> List.sort String.compare |> order |> Program.load_paths
   in
-  let diags, stats = Cdna_lint.run files in
+  let lint = Cdna_lint.analyze (load "fixtures") in
   let flow = Cdna_flow.analyze (Program.load "flow_fixtures") in
   let dom = Cdna_dom.analyze (Program.load "dom_fixtures") in
-  let proto =
-    let paths =
-      Program.collect_cmts [] "proto_fixtures" |> List.sort String.compare
-    in
-    Cdna_proto.analyze (Program.load_paths (order paths))
-  in
+  let proto = Cdna_proto.analyze (load "proto_fixtures") in
   let json =
-    match Cdna_lint.stats_to_json stats with
+    match Cdna_lint.report_to_json lint with
     | Sim.Json.Obj fields ->
         Sim.Json.Obj
           (fields
@@ -54,10 +33,8 @@ let combined ~order =
     | j -> j
   in
   let rendered =
-    List.map Cdna_lint.diag_to_string diags
-    @ List.map Program.violation_to_string flow.Cdna_flow.violations
-    @ List.map Program.violation_to_string dom.Cdna_dom.violations
-    @ List.map Program.violation_to_string proto.Cdna_proto.violations
+    List.map Program.violation_to_string
+      (lint.violations @ flow.violations @ dom.violations @ proto.violations)
   in
   (Sim.Json.to_string json, String.concat "\n" rendered)
 

@@ -1,17 +1,23 @@
-(* Fixture suite for cdna_flow: every seeded violation must be detected
-   with a complete source->sink chain, and the deliberately clean
-   fixtures must produce nothing. Runs against the .cmt files compiled
-   from flow_fixtures/ (cwd is _build/default/lint under dune). *)
+(* Fixture suite for cdna_flow, and for the cdna_lint rules that follow
+   call chains (allocation reachable from a hot entry, the ownership
+   boundary): every seeded violation must be detected with a complete
+   chain, and the deliberately clean fixtures must produce nothing. Runs
+   against the .cmt files compiled from flow_fixtures/ (cwd is
+   _build/default/lint under dune). *)
 
 let fixture_root = "flow_fixtures"
 
 let report = lazy (Cdna_flow.analyze (Program.load fixture_root))
+let lint = lazy (Cdna_lint.analyze (Program.load fixture_root))
+
+(* Both passes' unsuppressed violations over the corpus. *)
+let all_viols () =
+  (Lazy.force report).violations @ (Lazy.force lint).violations
 
 let viols_in base =
-  let r = Lazy.force report in
   List.filter
     (fun v -> Filename.basename v.Cdna_flow.file = base)
-    r.Cdna_flow.violations
+    (all_viols ())
 
 let check_detects ~base ~rule ~n () =
   let vs = viols_in base in
@@ -33,8 +39,15 @@ let test_taint_direct = check_detects ~base:"taint_direct.ml" ~rule:"T1-guest-ta
 let test_taint_tuple = check_detects ~base:"taint_tuple.ml" ~rule:"T1-guest-taint" ~n:1
 let test_taint_option = check_detects ~base:"taint_option.ml" ~rule:"T1-guest-taint" ~n:1
 let test_taint_desc = check_detects ~base:"taint_desc.ml" ~rule:"T2-desc-construct" ~n:1
-let test_hot_trans = check_detects ~base:"hot_trans_alloc.ml" ~rule:"A6-transitive-alloc" ~n:1
-let test_priv_reach = check_detects ~base:"priv_reach.ml" ~rule:"P3-priv-reachability" ~n:1
+let test_hot_trans = check_detects ~base:"hot_trans_alloc.ml" ~rule:"A1-alloc-construct" ~n:1
+(* The nic-layer helper's ownership call is flagged where it is made,
+   the line the retired reachability rule reported it at. *)
+let test_priv_reach () =
+  Alcotest.(check (list (pair string int)))
+    "priv_reach.ml P1 at the call" [ ("P1-ownership-boundary", 7) ]
+    (List.map
+       (fun v -> (v.Cdna_flow.rule, v.Cdna_flow.line))
+       (viols_in "priv_reach.ml"))
 
 (* Field sensitivity: exactly the tainted [payload] sink fires; the
    clean [tag] field flowing into the second sink must not. *)
@@ -56,10 +69,14 @@ let test_taint_record () =
    both the intrinsic closure and the alias-resolved List.map report. *)
 let test_hot_alias () =
   let vs = viols_in "hot_alias_alloc.ml" in
-  Alcotest.(check int) "hot_alias_alloc violation count" 2 (List.length vs);
+  Alcotest.(check (list string))
+    "hot_alias_alloc rules"
+    [ "A2-alloc-closure"; "A3-alloc-call" ]
+    (List.sort String.compare (List.map (fun v -> v.Cdna_flow.rule) vs));
   List.iter
     (fun v ->
-      Alcotest.(check string) "rule" "A6-transitive-alloc" v.Cdna_flow.rule)
+      Alcotest.(check int) "chain walks entry -> helper" 2
+        (List.length v.Cdna_flow.chain))
     vs;
   let msgs = String.concat "|" (List.map (fun v -> v.Cdna_flow.msg) vs) in
   let has_sub needle =
@@ -105,8 +122,9 @@ let test_clean_fixtures () =
 
 let test_totals () =
   let r = Lazy.force report in
-  Alcotest.(check int) "total unsuppressed" 10 (List.length r.Cdna_flow.violations);
-  Alcotest.(check int) "total suppressed" 0 (List.length r.Cdna_flow.suppressed);
+  Alcotest.(check int) "total unsuppressed" 10 (List.length (all_viols ()));
+  Alcotest.(check int) "total suppressed" 0
+    (List.length (r.Cdna_flow.suppressed @ (Lazy.force lint).suppressed));
   Alcotest.(check bool) "cmt corpus loaded" true (r.Cdna_flow.cmt_files >= 16)
 
 (* Byte-identical reports across runs: the JSON artifact is diffed by
@@ -127,16 +145,15 @@ let test_deterministic () =
    prefix and the full rule name both select, a non-prefix selects
    nothing. *)
 let test_only_filter () =
-  let r = Lazy.force report in
   let count only =
     List.length
       (List.filter
          (fun v -> Program.rule_matches ~only v.Cdna_flow.rule)
-         r.Cdna_flow.violations)
+         (all_viols ()))
   in
   Alcotest.(check int) "T1 prefix filter" 5 (count (Some "T1"));
-  Alcotest.(check int) "full rule name filter" 3
-    (count (Some "A6-transitive-alloc"));
+  Alcotest.(check int) "full rule name filter" 1
+    (count (Some "A1-alloc-construct"));
   Alcotest.(check int) "'T' is not a rule prefix" 0 (count (Some "T"));
   Alcotest.(check int) "no filter keeps everything" 10 (count None)
 

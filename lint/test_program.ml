@@ -27,7 +27,7 @@ let load_error_file f =
    be skipped and not escape as a compiler-libs exception. *)
 let test_truncated_cmt () =
   let dir = temp_dir () in
-  let good = read_file (Filename.concat rec_root "flow_self.cmt") in
+  let good = read_file (Filename.concat rec_root ".rec_fixtures.objs/byte/flow_self.cmt") in
   let bad = Filename.concat dir "broken.cmt" in
   Out_channel.with_open_bin bad (fun oc ->
       Out_channel.output_string oc
