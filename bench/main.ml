@@ -154,6 +154,67 @@ let histogram_multi_quantile_fn =
   let out = Array.make (Array.length qs) 0 in
   fun () -> Sim.Stats.Histogram.quantiles_into h qs out
 
+(* One 16-descriptor transmit enqueue hypercall, end to end: the
+   hypercall is posted on the guest's vcpu, the CPU dispatches it, the
+   body unpins the previous batch (the consumer index is advanced by
+   hand, as the NIC's status write-back would) and validates, pins,
+   stamps and writes the new one. One guest, Full protection, batch and
+   continuation built once: the steady state allocates nothing. *)
+let cdna_enqueue_16_fn =
+  let engine = Sim.Engine.create () in
+  let profile = Host.Profile.create () in
+  let cpu = Host.Cpu.create engine ~profile () in
+  Host.Cpu.stop cpu;
+  let mem = Memory.Phys_mem.create ~total_pages:4096 () in
+  let xen = Xen.Hypervisor.create engine ~cpu ~mem () in
+  let hyp = Cdna.Hyp.create xen ~protection:Cdna.Cdna_costs.Full () in
+  let dma = Bus.Dma_engine.create engine ~mem () in
+  let intr_base =
+    Memory.Addr.base_of_pfn (List.hd (Xen.Hypervisor.alloc_hyp_pages xen 1))
+  in
+  let nic =
+    Cdna.Cnic.create engine ~mem ~dma ~irq:(Bus.Irq.create ~name:"bench")
+      ~dma_context_base:0 ~intr_base ~intr_slots:64 ()
+  in
+  Cdna.Hyp.add_nic hyp nic;
+  let guest =
+    Xen.Hypervisor.create_domain xen ~name:"guest" ~kind:Xen.Domain.Guest
+      ~weight:256 ~mem_pages:64
+  in
+  let h =
+    match
+      Cdna.Hyp.assign_context hyp ~nic ~guest ~mac:(Ethernet.Mac_addr.make 1)
+        ~isr_cost:(Sim.Time.us 1)
+    with
+    | Ok h -> h
+    | Error `No_free_context -> failwith "cdna-enqueue-16: no context"
+  in
+  let page () = List.hd (Xen.Hypervisor.alloc_pages xen guest 1) in
+  let settle () =
+    Sim.Engine.run engine
+      ~until:(Sim.Time.add (Sim.Engine.now engine) (Sim.Time.ms 1))
+  in
+  let must = function
+    | Ok () -> ()
+    | Error _ -> failwith "cdna-enqueue-16: hypercall failed"
+  in
+  let tx_ring = page () and status = Memory.Addr.base_of_pfn (page ()) in
+  Cdna.Hyp.register_ring hyp h Cdna.Hyp.Tx
+    ~base:(Memory.Addr.base_of_pfn tx_ring) ~slots:256 must;
+  Cdna.Hyp.register_status hyp h ~addr:status must;
+  settle ();
+  let batch = Memory.Dma_desc.batch 16 in
+  List.iter
+    (fun pfn ->
+      Memory.Dma_desc.batch_add batch ~addr:(Memory.Addr.base_of_pfn pfn)
+        ~len:1500 ~flags:Memory.Dma_desc.flag_end_of_packet)
+    (Xen.Hypervisor.alloc_pages xen guest 16);
+  fun () ->
+    Cdna.Hyp.enqueue hyp h Cdna.Hyp.Tx batch must;
+    settle ();
+    Memory.Phys_mem.write_u32 mem ~addr:status
+      (Cdna.Hyp.producer h Cdna.Hyp.Tx)
+
 let micro_subjects =
   [
     ("micro/engine-10k-events", engine_events_fn);
@@ -167,6 +228,7 @@ let micro_subjects =
     ("micro/bridge-route-26-ports", bridge_route_fn);
     ("micro/flow-admit-1M", flow_admit_1m_fn);
     ("micro/histogram-multi-quantile", histogram_multi_quantile_fn);
+    ("micro/cdna-enqueue-16", cdna_enqueue_16_fn);
   ]
 
 (* ---------- Macro subjects: one per table / figure ---------- *)
@@ -379,8 +441,9 @@ let smoke () =
    direct [Gc.minor_words] delta per run) and writes them as JSON, then
    re-reads the file through our own parser so a malformed export fails
    loudly. [--gate BASELINE] additionally compares against the committed
-   baseline and exits non-zero if any subject regressed more than 2x —
-   the CI benchmark regression gate (see bench/dune). *)
+   baseline and exits non-zero if any subject allocates more minor words
+   per run than its baseline, or is over 2x its baseline ns/run in three
+   timings in a row — the CI benchmark regression gate (see bench/dune). *)
 
 let arg_value flag =
   let rec find i =
@@ -410,24 +473,46 @@ let json_number = function
 
 let gate_factor = 2.0
 
+let baseline_of ~label path =
+  match Sim.Json.parse (read_file path) with
+  | Error e -> failwith (label ^ " gate: bad baseline JSON: " ^ e)
+  | Ok v -> v
+
+let field_of field doc name =
+  Option.bind (Sim.Json.member name doc) (fun e ->
+      json_number (Sim.Json.member field e))
+
 (* Shared ns_per_run gate: compare [parsed] against the committed
-   baseline and exit 1 on any regression beyond [gate_factor]. *)
-let gate_ns ~label ~subject_names ~baseline_path parsed =
-  let baseline =
-    match Sim.Json.parse (read_file baseline_path) with
-    | Error e -> failwith (label ^ " gate: bad baseline JSON: " ^ e)
-    | Ok v -> v
-  in
-  let ns_of doc name =
-    Option.bind (Sim.Json.member name doc) (fun e ->
-        json_number (Sim.Json.member "ns_per_run" e))
-  in
+   baseline; a subject over [gate_factor] fails the gate. With [retime],
+   such a subject is timed twice more and fails only if all three
+   attempts are over: one slow timing under a contended [dune runtest]
+   is noise, three in a row are not. Every attempt is printed. Returns
+   whether the gate passed. *)
+let gate_ns ?retime ~label ~subject_names ~baseline_path parsed =
+  let baseline = baseline_of ~label baseline_path in
+  let over base now = base > 0. && now > gate_factor *. base in
   let regressions =
     List.filter_map
       (fun name ->
-        match (ns_of baseline name, ns_of parsed name) with
-        | Some base, Some now when base > 0. && now > gate_factor *. base ->
-            Some (name, base, now)
+        match (field_of "ns_per_run" baseline name, field_of "ns_per_run" parsed name) with
+        | Some base, Some now when over base now ->
+            Printf.printf "%s gate: %s attempt 1: %.0f ns/run vs baseline %.0f\n"
+              label name now base;
+            let rec again attempt =
+              match retime with
+              | Some f when attempt <= 3 ->
+                  let now = f name in
+                  Printf.printf
+                    "%s gate: %s attempt %d: %.0f ns/run vs baseline %.0f\n"
+                    label name attempt now base;
+                  (* A re-timing that produced no estimate (nan) counts
+                     as over: the gate must not pass on a missing
+                     measurement. *)
+                  if Float.is_nan now || over base now then again (attempt + 1)
+                  else None
+              | Some _ | None -> Some (name, base, now)
+            in
+            again 2
         | _ -> None)
       subject_names
   in
@@ -441,8 +526,37 @@ let gate_ns ~label ~subject_names ~baseline_path parsed =
   | [] ->
       Printf.printf "%s gate: all %d subjects within %.1fx of %s\n" label
         (List.length subject_names)
-        gate_factor baseline_path
-  | _ :: _ -> exit 1
+        gate_factor baseline_path;
+      true
+  | _ :: _ -> false
+
+(* Allocation gate: a subject allocating more minor words per run than
+   its baseline fails. A count, with no timing noise, so no retries. *)
+let gate_words ~label ~subject_names ~baseline_path parsed =
+  let baseline = baseline_of ~label baseline_path in
+  let regressions =
+    List.filter_map
+      (fun name ->
+        match
+          ( field_of "minor_words_per_run" baseline name,
+            field_of "minor_words_per_run" parsed name )
+        with
+        | Some base, Some now when now > base -> Some (name, base, now)
+        | _ -> None)
+      subject_names
+  in
+  List.iter
+    (fun (name, base, now) ->
+      Printf.printf
+        "%s gate: REGRESSION %s: %.2f minor words/run vs baseline %.2f\n" label
+        name now base)
+    regressions;
+  match regressions with
+  | [] ->
+      Printf.printf "%s gate: no subject allocates more than in %s\n" label
+        baseline_path;
+      true
+  | _ :: _ -> false
 
 let minor_words_per_run fn =
   fn ();
@@ -483,8 +597,23 @@ let json_mode ~out ~gate ~quota_s =
   (match gate with
   | None -> ()
   | Some baseline_path ->
-      gate_ns ~label:"bench" ~subject_names:(List.map fst micro_subjects)
-        ~baseline_path parsed);
+      let subject_names = List.map fst micro_subjects in
+      let retime name =
+        match
+          List.assoc_opt name
+            (estimate_ns ~quota_s
+               (List.filter (fun t -> Test.name t = name) micro_tests))
+        with
+        | Some ns -> ns
+        | None -> Float.nan
+      in
+      let words_ok =
+        gate_words ~label:"bench" ~subject_names ~baseline_path parsed
+      in
+      let ns_ok =
+        gate_ns ~retime ~label:"bench" ~subject_names ~baseline_path parsed
+      in
+      if not (words_ok && ns_ok) then exit 1);
   exit 0
 
 (* ---------- --macro: end-to-end sharded-engine benchmark + gate ----------
@@ -608,9 +737,12 @@ let macro_mode ~out ~gate =
   (match gate with
   | None -> ()
   | Some baseline_path ->
-      gate_ns ~label:"bench macro"
-        ~subject_names:(List.map fst macro_subjects)
-        ~baseline_path parsed);
+      if
+        not
+          (gate_ns ~label:"bench macro"
+             ~subject_names:(List.map fst macro_subjects)
+             ~baseline_path parsed)
+      then exit 1);
   exit 0
 
 let () =

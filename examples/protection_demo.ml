@@ -69,6 +69,7 @@ let describe_error = function
   | `Not_owner pfn -> Printf.sprintf "Not_owner(pfn %d)" pfn
   | `Ring_full -> "Ring_full"
   | `Ring_unregistered -> "Ring_unregistered"
+  | `Ring_busy -> "Ring_busy"
   | `Revoked -> "Revoked"
 
 let secret_len = 64
@@ -145,7 +146,7 @@ let () =
   (match
      await engine (fun k ->
          Cdna.Hyp.enqueue cdna handle Cdna.Hyp.Tx
-           [ cross_domain_descriptor victim_pfn ]
+           (Memory.Dma_desc.batch_of_list [ cross_domain_descriptor victim_pfn ])
            k)
    with
   | Ok _ -> unexpected "hypervisor accepted the descriptor!"
@@ -170,9 +171,13 @@ let () =
   in
   let hw = Cdna.Hyp.driver_if handle in
   (match
-     await engine (fun k -> Cdna.Hyp.enqueue cdna handle Cdna.Hyp.Tx [ own_desc ] k)
+     await engine (fun k ->
+         Cdna.Hyp.enqueue cdna handle Cdna.Hyp.Tx
+           (Memory.Dma_desc.batch_of_list [ own_desc ])
+           k)
    with
-  | Ok prod ->
+  | Ok () ->
+      let prod = Cdna.Hyp.producer handle Cdna.Hyp.Tx in
       hw.Nic.Driver_if.stage_tx_meta (leak_frame handle);
       hw.Nic.Driver_if.stage_tx_meta (leak_frame handle);
       (* Doorbell one past what the hypervisor enqueued. *)
@@ -201,14 +206,15 @@ let () =
   (match
      await engine2 (fun k ->
          Cdna.Hyp.enqueue cdna2 handle2 Cdna.Hyp.Rx
-           [
-             {
-               Memory.Dma_desc.addr = Memory.Addr.base_of_pfn dma_pfn;
-               len = Memory.Addr.page_size;
-               flags = 0;
-               seqno = 0;
-             };
-           ]
+           (Memory.Dma_desc.batch_of_list
+              [
+                {
+                  Memory.Dma_desc.addr = Memory.Addr.base_of_pfn dma_pfn;
+                  len = Memory.Addr.page_size;
+                  flags = 0;
+                  seqno = 0;
+                };
+              ])
            k)
    with
   | Ok _ ->
@@ -235,11 +241,13 @@ let () =
   (match
      await engine3 (fun k ->
          Cdna.Hyp.enqueue cdna3 handle3 Cdna.Hyp.Tx
-           [ cross_domain_descriptor victim_pfn3 ]
+           (Memory.Dma_desc.batch_of_list
+              [ cross_domain_descriptor victim_pfn3 ])
            k)
    with
   | Error e -> Printf.printf "unexpected rejection: %s\n" (describe_error e)
-  | Ok prod ->
+  | Ok () ->
+      let prod = Cdna.Hyp.producer handle3 Cdna.Hyp.Tx in
       hw3.Nic.Driver_if.stage_tx_meta (leak_frame handle3);
       hw3.Nic.Driver_if.tx_doorbell prod;
       settle engine3;

@@ -11,7 +11,12 @@
     against the initiating context's permissions, page by page — the
     hardware-protection alternative of the paper's section 5.3. Without an
     IOMMU the engine trusts physical addresses, exactly like the x86 DMA
-    model the paper describes as the protection problem. *)
+    model the paper describes as the protection problem.
+
+    Transfers complete in submission order (the request latency is fixed
+    and the bus serializes), so the engine keeps them in an internal FIFO
+    completed by one preallocated event closure: a transfer whose
+    continuation the caller built once allocates nothing. *)
 
 type t
 
@@ -41,23 +46,14 @@ val set_iommu : t -> Memory.Iommu.t option -> unit
 val set_fault_injector :
   t -> (context:int -> addr:Memory.Addr.t -> len:int -> bool) option -> unit
 
-(** [read t ~context ~addr ~len k] DMA-reads host memory (device <- host)
-    and passes the bytes to [k] at completion time. [context] identifies
-    the initiating NIC context for IOMMU checks (ignored without IOMMU). *)
-val read :
-  t ->
-  context:int ->
-  addr:Memory.Addr.t ->
-  len:int ->
-  ((Bytes.t, fault) result -> unit) ->
-  unit
-
-(** [read_into t ~context ~addr ~len ~dst ~pos k] is the zero-copy
-    variant of {!read}: at completion time the bytes are blitted into the
-    caller-supplied [dst] at [pos] and [k (Ok ())] runs. The caller must
-    not reuse [dst[pos, pos+len)] until [k] has fired (see DESIGN.md §8
-    for the scratch-buffer ownership rules). A bad [dst] range completes
-    with [`Bad_range] like a bad physical range. *)
+(** [read_into t ~context ~addr ~len ~dst ~pos k] DMA-reads host memory
+    (device <- host): at completion time the bytes are blitted into the
+    caller-supplied [dst] at [pos] and [k (Ok ())] runs. [context]
+    identifies the initiating NIC context for IOMMU checks (ignored
+    without IOMMU). The caller must not reuse [dst[pos, pos+len)] until
+    [k] has fired (see DESIGN.md §8 for the scratch-buffer ownership
+    rules). A bad [dst] range completes with [`Bad_range] like a bad
+    physical range. *)
 val read_into :
   t ->
   context:int ->
@@ -68,17 +64,8 @@ val read_into :
   ((unit, fault) result -> unit) ->
   unit
 
-(** [write t ~context ~addr ~data k] DMA-writes host memory (device -> host). *)
-val write :
-  t ->
-  context:int ->
-  addr:Memory.Addr.t ->
-  data:Bytes.t ->
-  ((unit, fault) result -> unit) ->
-  unit
-
-(** [write_from t ~context ~addr ~src ~pos ~len k] is the zero-copy
-    variant of {!write}: the bytes [src[pos, pos+len)] land in host
+(** [write_from t ~context ~addr ~src ~pos ~len k] DMA-writes host
+    memory (device -> host): the bytes [src[pos, pos+len)] land in host
     memory at completion time. The engine holds a view of [src] until
     then — the caller must not mutate that range before [k] fires
     (DESIGN.md §8). *)
@@ -89,6 +76,19 @@ val write_from :
   src:Bytes.t ->
   pos:int ->
   len:int ->
+  ((unit, fault) result -> unit) ->
+  unit
+
+(** [write_words t ~context ~addr ~lo ~hi k] DMA-writes 8 bytes: [lo]
+    and then [hi] as little-endian 32-bit words, landing in host memory
+    at completion time. The NIC's status and interrupt-vector write-backs
+    use it: no buffer is built or held per transfer. *)
+val write_words :
+  t ->
+  context:int ->
+  addr:Memory.Addr.t ->
+  lo:int ->
+  hi:int ->
   ((unit, fault) result -> unit) ->
   unit
 

@@ -18,21 +18,17 @@ type t = {
   mutable dirty : int; (* contexts with new completion state *)
   mutable fault_handler : ctx:int -> Nic.Dp.dir -> Nic.Dp.fault -> unit;
   mutable raised : int;
+  mutable retry_flush : unit -> unit; (* built once, in [create] *)
 }
 
 (* Flush the dirty-context set as one interrupt bit vector; if the
    circular buffer is full, hold the interrupt and retry shortly. *)
-let rec flush t =
+let[@cdna.hot] flush t =
   if t.dirty <> 0 then begin
-    let bits = t.dirty in
-    let posted =
-      Intr_vector.try_post t.intr ~bits ~on_done:(fun () ->
-          t.raised <- t.raised + 1;
-          Bus.Irq.assert_line t.irq)
-    in
-    if posted then t.dirty <- 0
+    if Intr_vector.try_post t.intr ~bits:t.dirty then t.dirty <- 0
     else
-      ignore (Sim.Engine.schedule t.engine ~delay:(Sim.Time.us 5) (fun () -> flush t))
+      ignore
+        (Sim.Engine.schedule t.engine ~delay:(Sim.Time.us 5) t.retry_flush)
   end
 
 let create engine ~mem ~dma ?(config = default_config) ~irq ~dma_context_base
@@ -58,7 +54,12 @@ let create engine ~mem ~dma ?(config = default_config) ~irq ~dma_context_base
   in
   let intr =
     Intr_vector.create ~mem ~dma ~base:intr_base ~slots:intr_slots
-      ~dma_context:(dma_context_base + num_contexts)
+      ~dma_context:(dma_context_base + num_contexts) ~on_landed:(fun () ->
+        match !self with
+        | Some t ->
+            t.raised <- t.raised + 1;
+            Bus.Irq.assert_line t.irq
+        | None -> ())
   in
   let coalescer =
     Nic.Coalesce.create engine ~min_gap:config.Nic.Nic_config.intr_min_gap
@@ -77,8 +78,10 @@ let create engine ~mem ~dma ?(config = default_config) ~irq ~dma_context_base
       dirty = 0;
       fault_handler = (fun ~ctx:_ _ _ -> ());
       raised = 0;
+      retry_flush = ignore;
     }
   in
+  t.retry_flush <- (fun () -> flush t);
   self := Some t;
   t
 

@@ -6,17 +6,35 @@
 type dir = Tx | Rx
 
 type enqueue_error =
-  [ `Not_owner of Memory.Addr.pfn | `Ring_full | `Ring_unregistered | `Revoked ]
+  [ `Not_owner of Memory.Addr.pfn
+  | `Ring_full
+  | `Ring_unregistered
+  | `Ring_busy
+  | `Revoked ]
+
+type enqueue_result = (unit, enqueue_error) result
 
 (* Hypervisor-side state of one ring of one context. *)
 type ring_state = {
   mutable ring : Nic.Ring.t option;
   mutable prod : int;
   mutable seq : int;
-  (* Pages pinned per enqueued descriptor, unpinned lazily when later
-     enqueues observe the consumer index has passed them. *)
-  pins : (int * Memory.Addr.pfn list) Queue.t;
-  mutable pinned : int;
+  (* The pin ring (paper 3.3's lazy unpin): one entry per pinned page,
+     (descriptor index, pfn), oldest first, as two FIFOs in lockstep.
+     Entries are pushed in descriptor order and [register_ring] refuses
+     to restart the index while pins remain, so the pages a later
+     enqueue may unpin — those of descriptors below the NIC's consumer
+     index — are exactly a prefix, released by walking from the head. *)
+  pin_idx : int Sim.Fifo.t;
+  pin_pfn : Memory.Addr.pfn Sim.Fifo.t;
+  (* Enqueue hypercalls posted and not yet run, oldest first (three
+     FIFOs in lockstep): batch, continuation, up-front unpin estimate.
+     The guest's vcpu runs its work in order, so the body that runs next
+     is always the oldest; [run_call] is that body, built once. *)
+  calls : Memory.Dma_desc.batch Sim.Fifo.t;
+  call_ks : (enqueue_result -> unit) Sim.Fifo.t;
+  call_ests : int Sim.Fifo.t;
+  mutable run_call : unit -> unit;
 }
 
 type ctx_handle = {
@@ -67,6 +85,10 @@ type t = {
   mutable ctx_swaps : int;
 }
 
+(* Callers check [tracing] first, so the message thunk is only built
+   when the tag is on. *)
+let tracing () = Sim.Trace.tag_enabled "cdna-hyp"
+
 let trace t fmt_msg =
   Sim.Trace.emit
     ~time:(Sim.Engine.now (Xen.Hypervisor.engine t.xen))
@@ -107,6 +129,31 @@ let handle_of t nic ~ctx =
 (* IOMMU table entries are keyed by the DMA context the NIC transfers
    with: its dma_context_base + hardware context id. *)
 let iommu_ctx h = Cnic.dma_context_of h.nic ~ctx:h.ctx
+
+let[@cdna.hot] rec or_all acc = function
+  | [] -> acc
+  | v :: rest -> or_all (acc lor v) rest
+
+(* The interrupt service routine: OR the landed bit vectors together and
+   send a virtual interrupt to every live context whose bit is set. *)
+let[@cdna.hot] decode_interrupt t nic slots =
+  let vectors =
+    (Intr_vector.drain (Cnic.intr_vector nic)
+    [@cdna.alloc_ok "the landed vectors, usually one per interrupt"])
+  in
+  let bits = or_all 0 vectors in
+  if tracing () then
+    (trace t (fun () ->
+         Printf.sprintf "interrupt: %d vectors, bits=0x%x"
+           (List.length vectors) bits)
+    [@cdna.alloc_ok "tracing branch, disabled unless the cdna-hyp tag is on"]);
+  for ctx = 0 to Array.length slots - 1 do
+    if bits land (1 lsl ctx) <> 0 then
+      match slots.(ctx) with
+      | Some h when not h.revoked ->
+          Xen.Event_channel.notify_from_hypervisor h.chan
+      | Some _ | None -> ()
+  done
 
 let add_nic t nic =
   if List.exists (fun (n, _) -> n == nic) t.nics then ()
@@ -151,27 +198,46 @@ let add_nic t nic =
                      ~delay:Sim.Time.zero hook))
         | None -> ());
     (* Physical interrupt -> drain bit vectors -> virtual interrupts. *)
+    let slots = slots_of t nic in
+    let decode () = decode_interrupt t nic slots in
+    let cpu = Xen.Hypervisor.cpu t.xen in
     Xen.Hypervisor.route_irq t.xen (Cnic.irq nic) (fun () ->
-        Host.Cpu.post_irq (Xen.Hypervisor.cpu t.xen)
-          ~cost:t.costs.Cdna_costs.intr_decode_fixed (fun () ->
-            let vectors = Intr_vector.drain (Cnic.intr_vector nic) in
-            let bits = List.fold_left ( lor ) 0 vectors in
-            trace t (fun () ->
-                Printf.sprintf "interrupt: %d vectors, bits=0x%x"
-                  (List.length vectors) bits);
-            let slots = slots_of t nic in
-            Array.iteri
-              (fun ctx handle ->
-                if bits land (1 lsl ctx) <> 0 then
-                  match handle with
-                  | Some h when not h.revoked ->
-                      Xen.Event_channel.notify_from_hypervisor h.chan
-                  | Some _ | None -> ())
-              slots))
+        Host.Cpu.post_irq cpu ~cost:t.costs.Cdna_costs.intr_decode_fixed
+          decode)
   end
 
 let fresh_ring_state () =
-  { ring = None; prod = 0; seq = 0; pins = Queue.create (); pinned = 0 }
+  {
+    ring = None;
+    prod = 0;
+    seq = 0;
+    pin_idx = Sim.Fifo.create ~dummy:0;
+    pin_pfn = Sim.Fifo.create ~dummy:0;
+    calls = Sim.Fifo.create ~dummy:(Memory.Dma_desc.batch 1);
+    call_ks = Sim.Fifo.create ~dummy:ignore;
+    call_ests = Sim.Fifo.create ~dummy:0;
+    run_call = ignore;
+  }
+
+(* ---------- The pin ring ---------- *)
+
+let[@cdna.hot] pinned_in rs = Sim.Fifo.length rs.pin_pfn
+
+let[@cdna.hot] push_pin rs ~idx pfn =
+  Sim.Fifo.push rs.pin_idx idx;
+  Sim.Fifo.push rs.pin_pfn pfn
+
+(* Pages of descriptors below [cons] still pinned: the prefix of the ring
+   a completion walk would release. *)
+let[@cdna.hot] rec releasable rs ~cons i =
+  if i < pinned_in rs && Sim.Fifo.get rs.pin_idx i < cons then
+    releasable rs ~cons (i + 1)
+  else i
+
+(* Drop the oldest pin, returning its page. *)
+let[@cdna.hot] pop_pin rs =
+  ignore (Sim.Fifo.pop rs.pin_idx);
+  Sim.Fifo.pop rs.pin_pfn
 
 (* ---------- Context paging (oversubscription) ---------- *)
 
@@ -181,7 +247,9 @@ let fresh_ring_state () =
    the guest across slots. *)
 let iommu_all_pfns h =
   let of_ring rs acc =
-    Queue.fold (fun acc (_, pfns) -> List.rev_append pfns acc) acc rs.pins
+    let acc = ref acc in
+    Sim.Fifo.iter (fun pfn -> acc := pfn :: !acc) rs.pin_pfn;
+    !acc
   in
   of_ring h.tx (of_ring h.rx h.granted_extra)
 
@@ -333,6 +401,198 @@ let wrap t h : Nic.Driver_if.t =
         h.hw_live.Nic.Driver_if.rx_completions_pending ());
   }
 
+(* ---------- The enqueue hypercall ---------- *)
+
+let[@cdna.hot] ring_state h = function Tx -> h.tx | Rx -> h.rx
+
+(* Drop one page's pin: the refcount under [Full], the context's IOMMU
+   entry under [Iommu]. *)
+let[@cdna.hot] unpin t h pfn =
+  match t.protection with
+  | Cdna_costs.Full ->
+      (Memory.Phys_mem.put_ref (mem t) pfn
+      [@cdna.alloc_ok
+        "returning a page freed while pinned to the allocator grows its \
+         free stack, once per page"])
+  | Cdna_costs.Iommu -> (
+      (* A paged-out context's grants were already revoked when it left
+         its slot; the slot id it remembers may belong to another guest by
+         now. *)
+      if h.resident then
+        match t.iommu with
+        | Some iommu -> Memory.Iommu.revoke iommu ~context:(iommu_ctx h) pfn
+        | None -> ())
+  | Cdna_costs.Disabled -> ()
+
+(* Consumer index for a direction, as last written back by the NIC. *)
+let[@cdna.hot] consumer t h dir =
+  match h.status_addr with
+  | None -> 0
+  | Some addr -> (
+      match dir with
+      | Tx -> Memory.Phys_mem.read_u32 (mem t) ~addr
+      | Rx -> Memory.Phys_mem.read_u32 (mem t) ~addr:(addr + 4))
+
+(* Lazily drop pins for descriptors the NIC has consumed (paper 3.3): walk
+   the pin ring from its head while the entries' descriptors are below
+   the consumer index. Returns the pages unpinned. *)
+let[@cdna.hot] process_completions t h rs ~cons =
+  let n = releasable rs ~cons 0 in
+  for _ = 1 to n do
+    unpin t h (pop_pin rs)
+  done;
+  n
+
+let[@cdna.hot] enqueue_cost t ~n_desc ~n_unpin =
+  let c = t.costs in
+  match t.protection with
+  | Cdna_costs.Full ->
+      Sim.Time.add c.Cdna_costs.hypercall_fixed
+        (Sim.Time.add
+           (Sim.Time.mul_int c.Cdna_costs.validate_per_desc n_desc)
+           (Sim.Time.mul_int c.Cdna_costs.unpin_per_desc n_unpin))
+  | Cdna_costs.Iommu ->
+      Sim.Time.add c.Cdna_costs.hypercall_fixed
+        (Sim.Time.mul_int c.Cdna_costs.iommu_per_desc (n_desc + n_unpin))
+  | Cdna_costs.Disabled ->
+      (* Direct ring writes by the guest; no hypervisor involvement. The
+         small per-descriptor cost models the stores themselves. *)
+      Sim.Time.mul_int (Sim.Time.ns 60) n_desc
+
+(* Hypervisor-side cost of unpinning [n] descriptors' pages, over and
+   above what a hypercall was already charged for. *)
+let[@cdna.hot] unpin_delta_cost t n =
+  let c = t.costs in
+  match t.protection with
+  | Cdna_costs.Full -> Sim.Time.mul_int c.Cdna_costs.unpin_per_desc n
+  | Cdna_costs.Iommu -> Sim.Time.mul_int c.Cdna_costs.iommu_per_desc n
+  | Cdna_costs.Disabled -> Sim.Time.zero
+
+(* Pages [first, last] of a descriptor's buffer; [last < first] when it
+   spans none. *)
+let[@cdna.hot] last_pfn ~addr ~len =
+  if len < 0 then invalid_arg "Addr.pages_spanned: negative length";
+  if len = 0 then Memory.Addr.pfn_of addr - 1
+  else Memory.Addr.pfn_of (addr + len - 1)
+
+(* The first page in [pfn, last] the guest does not own, or -1. *)
+let[@cdna.hot] rec foreign_page mem ~dom pfn ~last =
+  if pfn > last then -1
+  else if Memory.Phys_mem.owned_by mem pfn dom then
+    foreign_page mem ~dom (pfn + 1) ~last
+  else pfn
+
+(* The first page of the batch the guest does not own, or -1:
+   descriptors in order, each buffer's pages in order. *)
+let[@cdna.hot] rec batch_foreign_page mem ~dom b i =
+  if i >= Memory.Dma_desc.batch_length b then -1
+  else begin
+    let addr = Memory.Dma_desc.batch_addr b i in
+    let len = Memory.Dma_desc.batch_len b i in
+    let p =
+      foreign_page mem ~dom (Memory.Addr.pfn_of addr)
+        ~last:(last_pfn ~addr ~len)
+    in
+    if p >= 0 then p else batch_foreign_page mem ~dom b (i + 1)
+  end
+
+(* Pin a validated descriptor's pages and write it, stamped with the
+   ring's next sequence number, into the ring slot [rs.prod]. *)
+let[@cdna.hot] post_descriptor t h rs ring b i =
+  let idx = rs.prod in
+  let addr = Memory.Dma_desc.batch_addr b i in
+  let len = Memory.Dma_desc.batch_len b i in
+  (match t.protection with
+  | Cdna_costs.Full ->
+      for pfn = Memory.Addr.pfn_of addr to last_pfn ~addr ~len do
+        Memory.Phys_mem.get_ref (mem t) pfn;
+        push_pin rs ~idx pfn
+      done
+  | Cdna_costs.Iommu ->
+      (* Grants for a paged-out context are deferred to page-in, which
+         re-grants every pin. *)
+      for pfn = Memory.Addr.pfn_of addr to last_pfn ~addr ~len do
+        (match t.iommu with
+        | Some iommu when h.resident ->
+            (Memory.Iommu.grant iommu ~context:(iommu_ctx h) pfn
+            [@cdna.alloc_ok "IOMMU mode: one table entry per pinned page"])
+        | Some _ | None -> ());
+        push_pin rs ~idx pfn
+      done
+  | Cdna_costs.Disabled -> ());
+  Memory.Desc_layout.write_fields (Cnic.desc_layout h.nic) (mem t)
+    ~at:(Nic.Ring.slot_addr ring idx) ~addr ~len
+    ~flags:(Memory.Dma_desc.batch_flags b i) ~seqno:rs.seq;
+  rs.seq <- Seqno.next rs.seq;
+  rs.prod <- idx + 1
+
+(* The enqueue hypercall's body, for the oldest posted call on [rs]. *)
+let[@cdna.hot] run_enqueue t h dir rs =
+  let b = Sim.Fifo.pop rs.calls in
+  let k = Sim.Fifo.pop rs.call_ks in
+  let n_unpin_est = Sim.Fifo.pop rs.call_ests in
+  t.enqueue_calls <- t.enqueue_calls + 1;
+  if h.revoked then k (Error `Revoked)
+  else
+    match rs.ring with
+    | None -> k (Error `Ring_unregistered)
+    | Some ring ->
+        let n_unpin = process_completions t h rs ~cons:(consumer t h dir) in
+        if n_unpin > n_unpin_est then
+          (* Writebacks completed more descriptors than the estimate saw;
+             account the missed unpin work against the caller so the
+             charged cost matches the work actually done. *)
+          Xen.Hypervisor.hypercall t.xen ~from:h.guest
+            ~cost:(unpin_delta_cost t (n_unpin - n_unpin_est))
+            ignore;
+        let n_desc = Memory.Dma_desc.batch_length b in
+        if rs.prod + n_desc - consumer t h dir > Nic.Ring.slots ring then
+          k (Error `Ring_full)
+        else begin
+          (* Validate the whole batch first: all-or-nothing. *)
+          let foreign =
+            if t.protection = Cdna_costs.Disabled then -1
+            else
+              batch_foreign_page (mem t) ~dom:(Xen.Domain.id h.guest) b 0
+          in
+          if foreign >= 0 then begin
+            if tracing () then
+              (trace t (fun () ->
+                   Printf.sprintf "enqueue rejected ctx=%d dom=%d" h.ctx
+                     (Xen.Domain.id h.guest))
+              [@cdna.alloc_ok "tracing branch, disabled unless the cdna-hyp tag is on"]);
+            k (Error (`Not_owner foreign) [@cdna.alloc_ok "rejected batch: fault path"])
+          end
+          else begin
+            for i = 0 to n_desc - 1 do
+              post_descriptor t h rs ring b i
+            done;
+            k (Ok ())
+          end
+        end
+
+let[@cdna.hot] enqueue t h dir b k =
+  let rs = ring_state h dir in
+  let n_desc = Memory.Dma_desc.batch_length b in
+  (* Estimate the unpin work for the up-front hypercall charge from the
+     consumer index visible at call time. NIC status writebacks can land
+     during the hypercall latency, so the body recomputes the real count
+     and charges the difference. *)
+  let n_unpin_est =
+    if t.protection = Cdna_costs.Disabled then 0
+    else releasable rs ~cons:(consumer t h dir) 0
+  in
+  Sim.Fifo.push rs.calls b;
+  Sim.Fifo.push rs.call_ks k;
+  Sim.Fifo.push rs.call_ests n_unpin_est;
+  let cost = enqueue_cost t ~n_desc ~n_unpin:n_unpin_est in
+  match t.protection with
+  | Cdna_costs.Disabled ->
+      (* No hypercall: the work happens in the guest kernel. *)
+      Xen.Hypervisor.kernel_work t.xen h.guest ~cost rs.run_call
+  | Cdna_costs.Full | Cdna_costs.Iommu ->
+      Xen.Hypervisor.hypercall t.xen ~from:h.guest ~cost rs.run_call
+
 let assign_context t ~nic ~guest ~mac ~isr_cost =
   let slots = slots_of t nic in
   let slot =
@@ -386,6 +646,8 @@ let assign_context t ~nic ~guest ~mac ~isr_cost =
         }
       in
       h.hw <- wrap t h;
+      h.tx.run_call <- (fun () -> run_enqueue t h Tx h.tx);
+      h.rx.run_call <- (fun () -> run_enqueue t h Rx h.rx);
       slots.(ctx) <- Some h;
       if evicted then
         Xen.Hypervisor.hypercall t.xen ~from:guest
@@ -396,27 +658,22 @@ let set_event_handler h f = h.handler := f
 let set_fault_hook h f = h.fault_hook := Some f
 
 let unpin_all t h rs =
-  let mem = mem t in
-  Queue.iter
-    (fun (_, pfns) ->
+  while pinned_in rs > 0 do
+    unpin t h (pop_pin rs)
+  done
+
+(* The ring and status pages granted under [Iommu] belong to the slot's
+   DMA context: revoke them when the context leaves its slot for good, or
+   the slot's next occupant could DMA the previous owner's rings. A
+   paged-out context's grants were revoked at page-out. *)
+let revoke_ring_grants t h =
+  (match (t.protection, t.iommu) with
+  | Cdna_costs.Iommu, Some iommu when h.resident ->
       List.iter
-        (fun pfn ->
-          match t.protection with
-          | Cdna_costs.Full -> Memory.Phys_mem.put_ref mem pfn
-          | Cdna_costs.Iommu -> (
-              (* A paged-out context's grants were already revoked when it
-                 left its slot; the slot id it remembers may belong to
-                 another guest by now. *)
-              if h.resident then
-                match t.iommu with
-                | Some iommu ->
-                    Memory.Iommu.revoke iommu ~context:(iommu_ctx h) pfn
-                | None -> ())
-          | Cdna_costs.Disabled -> ())
-        pfns)
-    rs.pins;
-  Queue.clear rs.pins;
-  rs.pinned <- 0
+        (fun pfn -> Memory.Iommu.revoke iommu ~context:(iommu_ctx h) pfn)
+        h.granted_extra
+  | _ -> ());
+  h.granted_extra <- []
 
 let revoke t h =
   if not h.revoked then begin
@@ -428,6 +685,7 @@ let revoke t h =
     else h.saved <- None;
     unpin_all t h h.tx;
     unpin_all t h h.rx;
+    revoke_ring_grants t h;
     if h.resident then begin
       let slots = slots_of t h.nic in
       slots.(h.ctx) <- None
@@ -491,8 +749,6 @@ let virq_deliveries h = Xen.Event_channel.deliveries h.chan
 
 (* ---------- Hypercalls ---------- *)
 
-let ring_state h = function Tx -> h.tx | Rx -> h.rx
-
 let validate_pages t h pfns =
   let mem = mem t in
   let rec check = function
@@ -508,6 +764,12 @@ let register_ring t h dir ~base ~slots k =
   let cost = t.costs.Cdna_costs.map_context in
   Xen.Hypervisor.hypercall t.xen ~from:h.guest ~cost (fun () ->
       if h.revoked then k (Error `Revoked)
+      else if pinned_in (ring_state h dir) > 0 then
+        (* Replacing a ring restarts its descriptor indices at 0. Pins of
+           the old ring's unconsumed descriptors would then sit ahead of
+           the new ring's in the pin ring, and dropping them instead would
+           free pages the NIC may still DMA. *)
+        k (Error `Ring_busy)
       else begin
         ensure_resident t h;
         (* The NIC told us its descriptor format (paper 3.4); rings are
@@ -571,172 +833,9 @@ let register_status t h ~addr k =
             k (Ok ())
       end)
 
-(* Consumer index for a direction, as last written back by the NIC. *)
-let consumer t h dir =
-  match h.status_addr with
-  | None -> 0
-  | Some addr -> (
-      match dir with
-      | Tx -> Memory.Phys_mem.read_u32 (mem t) ~addr
-      | Rx -> Memory.Phys_mem.read_u32 (mem t) ~addr:(addr + 4))
+let producer h dir = (ring_state h dir).prod
 
-(* Lazily drop pins for descriptors the NIC has consumed (paper 3.3). *)
-let process_completions t h dir =
-  let rs = ring_state h dir in
-  let cons = consumer t h dir in
-  let unpinned = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt rs.pins with
-    | Some (idx, pfns) when idx < cons ->
-        ignore (Queue.pop rs.pins);
-        List.iter
-          (fun pfn ->
-            incr unpinned;
-            match t.protection with
-            | Cdna_costs.Full -> Memory.Phys_mem.put_ref (mem t) pfn
-            | Cdna_costs.Iommu -> (
-                (* Paged-out contexts have no live grants to drop. *)
-                if h.resident then
-                  match t.iommu with
-                  | Some iommu ->
-                      Memory.Iommu.revoke iommu ~context:(iommu_ctx h) pfn
-                  | None -> ())
-            | Cdna_costs.Disabled -> ())
-          pfns;
-        rs.pinned <- rs.pinned - List.length pfns
-    | Some _ | None -> continue := false
-  done;
-  !unpinned
-
-let enqueue_cost t ~n_desc ~n_unpin =
-  let c = t.costs in
-  match t.protection with
-  | Cdna_costs.Full ->
-      Sim.Time.add c.Cdna_costs.hypercall_fixed
-        (Sim.Time.add
-           (Sim.Time.mul_int c.Cdna_costs.validate_per_desc n_desc)
-           (Sim.Time.mul_int c.Cdna_costs.unpin_per_desc n_unpin))
-  | Cdna_costs.Iommu ->
-      Sim.Time.add c.Cdna_costs.hypercall_fixed
-        (Sim.Time.mul_int c.Cdna_costs.iommu_per_desc (n_desc + n_unpin))
-  | Cdna_costs.Disabled ->
-      (* Direct ring writes by the guest; no hypervisor involvement. The
-         small per-descriptor cost models the stores themselves. *)
-      Sim.Time.mul_int (Sim.Time.ns 60) n_desc
-
-(* Hypervisor-side cost of unpinning [n] descriptors' pages, over and
-   above what a hypercall was already charged for. *)
-let unpin_delta_cost t n =
-  let c = t.costs in
-  match t.protection with
-  | Cdna_costs.Full -> Sim.Time.mul_int c.Cdna_costs.unpin_per_desc n
-  | Cdna_costs.Iommu -> Sim.Time.mul_int c.Cdna_costs.iommu_per_desc n
-  | Cdna_costs.Disabled -> Sim.Time.zero
-
-let enqueue t h dir descs k =
-  let n_desc = List.length descs in
-  (* Estimate the unpin work for the up-front hypercall charge from the
-     consumer index visible at call time. NIC status writebacks can land
-     during the hypercall latency, so the body recomputes the real count
-     and charges the difference. *)
-  let n_unpin_est =
-    if t.protection = Cdna_costs.Disabled then 0
-    else begin
-      let rs = ring_state h dir in
-      let cons = consumer t h dir in
-      Queue.fold
-        (fun acc (idx, pfns) -> if idx < cons then acc + List.length pfns else acc)
-        0 rs.pins
-    end
-  in
-  let cost = enqueue_cost t ~n_desc ~n_unpin:n_unpin_est in
-  let body () =
-    t.enqueue_calls <- t.enqueue_calls + 1;
-    if h.revoked then k (Error `Revoked)
-    else begin
-      let rs = ring_state h dir in
-      match rs.ring with
-      | None -> k (Error `Ring_unregistered)
-      | Some ring ->
-          let n_unpin = process_completions t h dir in
-          if n_unpin > n_unpin_est then
-            (* Writebacks completed more descriptors than the estimate
-               saw; account the missed unpin work against the caller so
-               the charged cost matches the work actually done. *)
-            Xen.Hypervisor.hypercall t.xen ~from:h.guest
-              ~cost:(unpin_delta_cost t (n_unpin - n_unpin_est))
-              (fun () -> ());
-          let cons = consumer t h dir in
-          if rs.prod + n_desc - cons > Nic.Ring.slots ring then
-            k (Error `Ring_full)
-          else begin
-            (* Validate the whole batch first: all-or-nothing. *)
-            let validation =
-              if t.protection = Cdna_costs.Disabled then Ok ()
-              else
-                List.fold_left
-                  (fun acc (d : Memory.Dma_desc.t) ->
-                    match acc with
-                    | Error _ -> acc
-                    | Ok () ->
-                        validate_pages t h
-                          (Memory.Addr.pages_spanned ~addr:d.addr ~len:d.len))
-                  (Ok ()) descs
-            in
-            match validation with
-            | Error e ->
-                trace t (fun () ->
-                    Printf.sprintf "enqueue rejected ctx=%d dom=%d" h.ctx
-                      (Xen.Domain.id h.guest));
-                k (Error e)
-            | Ok () ->
-                List.iter
-                  (fun (d : Memory.Dma_desc.t) ->
-                    let idx = rs.prod in
-                    let pfns =
-                      Memory.Addr.pages_spanned ~addr:d.addr ~len:d.len
-                    in
-                    (match t.protection with
-                    | Cdna_costs.Full ->
-                        List.iter (Memory.Phys_mem.get_ref (mem t)) pfns;
-                        Queue.push (idx, pfns) rs.pins;
-                        rs.pinned <- rs.pinned + List.length pfns
-                    | Cdna_costs.Iommu ->
-                        (* Grants for a paged-out context are deferred to
-                           page-in, which re-grants every pin. *)
-                        (match t.iommu with
-                        | Some iommu when h.resident ->
-                            List.iter
-                              (fun pfn ->
-                                Memory.Iommu.grant iommu
-                                  ~context:(iommu_ctx h) pfn)
-                              pfns
-                        | Some _ | None -> ());
-                        Queue.push (idx, pfns) rs.pins;
-                        rs.pinned <- rs.pinned + List.length pfns
-                    | Cdna_costs.Disabled -> ());
-                    let stamped = { d with Memory.Dma_desc.seqno = rs.seq } in
-                    rs.seq <- Seqno.next rs.seq;
-                    Memory.Desc_layout.write
-                      (Cnic.desc_layout h.nic)
-                      (mem t)
-                      ~at:(Nic.Ring.slot_addr ring idx)
-                      stamped;
-                    rs.prod <- idx + 1)
-                  descs;
-                k (Ok rs.prod)
-          end
-    end
-  in
-  match t.protection with
-  | Cdna_costs.Disabled ->
-      (* No hypercall: the work happens in the guest kernel. *)
-      Xen.Hypervisor.kernel_work t.xen h.guest ~cost body
-  | Cdna_costs.Full | Cdna_costs.Iommu ->
-      Xen.Hypervisor.hypercall t.xen ~from:h.guest ~cost body
-
-let pinned_pages h = h.tx.pinned + h.rx.pinned
+let pinned_pages h = pinned_in h.tx + pinned_in h.rx
 let faults t = t.faults
 let enqueue_calls t = t.enqueue_calls
 

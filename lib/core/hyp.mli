@@ -74,6 +74,9 @@ type enqueue_error =
   [ `Not_owner of Memory.Addr.pfn  (** Validation failed on this page. *)
   | `Ring_full
   | `Ring_unregistered
+  | `Ring_busy
+        (** [register_ring] on a ring whose earlier descriptors still hold
+            pins: the old buffers stay pinned until the NIC consumes them. *)
   | `Revoked ]
 
 (** [assign_context t ~nic ~guest ~mac ~isr_cost] picks a free hardware
@@ -97,8 +100,9 @@ val set_event_handler : ctx_handle -> (unit -> unit) -> unit
 val set_fault_hook : ctx_handle -> (unit -> unit) -> unit
 
 (** [revoke t h] revokes the context at any time: unmaps the partition
-    (subsequent PIO faults), deactivates the hardware context, and drops
-    all page pins. *)
+    (subsequent PIO faults), deactivates the hardware context, drops all
+    page pins and, in [Iommu] mode, revokes the context's ring and status
+    page grants, so the slot's next occupant cannot DMA them. *)
 val revoke : t -> ctx_handle -> unit
 
 (** [migrate t h ~to_nic] moves a guest's connectivity to another CDNA
@@ -149,7 +153,9 @@ type dir = Tx | Rx
 
 (** [register_ring t h dir ~base ~slots k] validates the ring memory
     (owned by the guest), records and programs it, and establishes the
-    hypervisor's exclusive write access to it. *)
+    hypervisor's exclusive write access to it. Re-registering a ring
+    fails with [`Ring_busy] while pages of its earlier descriptors are
+    still pinned. *)
 val register_ring :
   t ->
   ctx_handle ->
@@ -168,11 +174,20 @@ val register_status :
   ((unit, enqueue_error) result -> unit) ->
   unit
 
-(** [enqueue t h dir descs k] — the protected descriptor-enqueue
-    hypercall. Descriptor sequence numbers are assigned by the hypervisor
-    (the [seqno] field of the inputs is ignored). On success the
-    continuation receives the new producer index to write to the doorbell
-    mailbox. The whole batch is rejected on the first invalid page.
+type enqueue_result = (unit, enqueue_error) result
+
+(** [enqueue t h dir batch k] — the protected descriptor-enqueue
+    hypercall. Descriptor sequence numbers are assigned by the hypervisor.
+    On success [k (Ok ())] runs with {!producer} already advanced past the
+    batch: the index to write to the doorbell mailbox. The whole batch is
+    rejected on the first invalid page.
+
+    The hypercall body reads [batch] when it runs, so the caller must not
+    refill it before [k] fires. A caller that owns its batch and builds
+    [k] once makes the call allocation-free; so is the body on success:
+    validation walks the batch's pages, pins go to a flat per-ring pin
+    ring, and the consumer-index walk that unpins lazily is a walk from
+    that ring's head.
 
     In [Disabled] mode this performs the (cheap, unvalidated) ring writes
     the guest would otherwise do itself. *)
@@ -180,9 +195,13 @@ val enqueue :
   t ->
   ctx_handle ->
   dir ->
-  Memory.Dma_desc.t list ->
-  ((int, enqueue_error) result -> unit) ->
+  Memory.Dma_desc.batch ->
+  (enqueue_result -> unit) ->
   unit
+
+(** The ring's producer index: descriptors enqueued since the ring was
+    registered. *)
+val producer : ctx_handle -> dir -> int
 
 (** {1 Diagnostics} *)
 

@@ -9,47 +9,57 @@ type t = {
   mutable cons : int; (* next slot the hypervisor reads *)
   mutable posted : int;
   mutable drained : int;
+  on_landed : unit -> unit;
+  (* The one continuation every vector write completes through. *)
+  mutable landed : (unit, Bus.Dma_engine.fault) result -> unit;
 }
 
 let slot_bytes = 8
 
-let create ~mem ~dma ~base ~slots ~dma_context =
+let create ~mem ~dma ~base ~slots ~dma_context ~on_landed =
   if slots < 2 || slots > 4096 || slots land (slots - 1) <> 0 then
     invalid_arg "Intr_vector.create: slots must be a power of two in [2, 4096]";
-  {
-    mem;
-    dma;
-    base;
-    slots;
-    dma_context;
-    prod = 0;
-    in_flight = 0;
-    cons = 0;
-    posted = 0;
-    drained = 0;
-  }
+  let t =
+    {
+      mem;
+      dma;
+      base;
+      slots;
+      dma_context;
+      prod = 0;
+      in_flight = 0;
+      cons = 0;
+      posted = 0;
+      drained = 0;
+      on_landed;
+      landed = ignore;
+    }
+  in
+  t.landed <-
+    (fun _ ->
+      t.in_flight <- t.in_flight - 1;
+      t.posted <- t.posted + 1;
+      t.on_landed ());
+  t
 
 let slots t = t.slots
 let base t = t.base
-let space t = t.slots - (t.prod - t.cons)
+let[@cdna.hot] space t = t.slots - (t.prod - t.cons)
 
-let slot_addr t idx = t.base + (idx land (t.slots - 1)) * slot_bytes
+let[@cdna.hot] slot_addr t idx = t.base + (idx land (t.slots - 1)) * slot_bytes
 
-let try_post t ~bits ~on_done =
+(* The vector lands as one 8-byte little-endian slot, written as two
+   32-bit words at DMA completion time. *)
+let[@cdna.hot] try_post t ~bits =
   if space t <= 0 then false
   else begin
     let idx = t.prod in
     t.prod <- idx + 1;
     t.in_flight <- t.in_flight + 1;
-    let data = Bytes.create slot_bytes in
-    for i = 0 to slot_bytes - 1 do
-      Bytes.set data i (Char.chr ((bits lsr (8 * i)) land 0xff))
-    done;
-    Bus.Dma_engine.write t.dma ~context:t.dma_context ~addr:(slot_addr t idx)
-      ~data (fun _ ->
-        t.in_flight <- t.in_flight - 1;
-        t.posted <- t.posted + 1;
-        on_done ());
+    Bus.Dma_engine.write_words t.dma ~context:t.dma_context
+      ~addr:(slot_addr t idx) ~lo:(bits land 0xFFFF_FFFF)
+      ~hi:((bits lsr 32) land 0xFFFF_FFFF)
+      t.landed;
     true
   end
 

@@ -12,15 +12,18 @@
 
 type t
 
-(** [create ~mem ~dma ~base ~slots ~dma_context] — the buffer occupies
-    [slots] 8-byte vector slots starting at hypervisor address [base].
-    [slots] must be a power of two in [\[2, 4096\]]. *)
+(** [create ~mem ~dma ~base ~slots ~dma_context ~on_landed] — the buffer
+    occupies [slots] 8-byte vector slots starting at hypervisor address
+    [base]. [slots] must be a power of two in [\[2, 4096\]]. [on_landed]
+    fires each time a posted vector has landed in host memory (the NIC
+    raises its physical interrupt there). *)
 val create :
   mem:Memory.Phys_mem.t ->
   dma:Bus.Dma_engine.t ->
   base:Memory.Addr.t ->
   slots:int ->
   dma_context:int ->
+  on_landed:(unit -> unit) ->
   t
 
 val slots : t -> int
@@ -31,11 +34,11 @@ val space : t -> int
 
 (** {1 NIC side} *)
 
-(** [try_post t ~bits ~on_done] DMA-writes the vector into the next slot.
+(** [try_post t ~bits] DMA-writes the vector into the next slot; the
+    write lands at DMA completion time and then fires [on_landed].
     Returns false (without side effects) when the buffer is full — the NIC
-    must hold its interrupt and retry. [on_done] fires when the write has
-    landed in host memory (the NIC raises its physical interrupt there). *)
-val try_post : t -> bits:int -> on_done:(unit -> unit) -> bool
+    must hold its interrupt and retry. *)
+val try_post : t -> bits:int -> bool
 
 (** {1 Hypervisor side} *)
 

@@ -225,7 +225,9 @@ let attack_full w kind ~attempts ~injected ~rejected =
           in
           for _ = 1 to attempts do
             incr injected;
-            H.enqueue w.cdna w.h_att H.Tx [ desc () ] (function
+            H.enqueue w.cdna w.h_att H.Tx
+              (Memory.Dma_desc.batch_of_list [ desc () ])
+              (function
               | Error (`Not_owner _) -> incr rejected
               | Error _ -> incr rejected
               | Ok _ -> ())
@@ -250,9 +252,11 @@ let attack_iommu w kind ~injected =
       let honest =
         { Memory.Dma_desc.addr = Memory.Addr.base_of_pfn own; len = 1000; flags = eop; seqno = 0 }
       in
-      H.enqueue w.cdna w.h_att H.Tx [ honest ] (function
+      H.enqueue w.cdna w.h_att H.Tx (Memory.Dma_desc.batch_of_list [ honest ])
+        (function
         | Error _ -> ()
-        | Ok prod ->
+        | Ok () ->
+            let prod = H.producer w.h_att H.Tx in
             incr injected;
             let forged =
               match kind with

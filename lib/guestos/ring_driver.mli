@@ -11,6 +11,9 @@
     The record is exposed so each driver can advance the producer
     indices it owns. *)
 
+(** The NAPI poll's continuations and hand-off state (internal). *)
+type poll_state
+
 type t = {
   dev : Netdev.t;  (** A {!Netdev.queued} device. *)
   post_kernel : cost:Sim.Time.t -> (unit -> unit) -> unit;
@@ -29,10 +32,16 @@ type t = {
   mutable tx_cons_seen : int;
   mutable rx_prod : int;
   mutable repost_rx : int -> unit;
+  tx_batch : Memory.Dma_desc.batch;
+      (** The driver's transmit descriptor batch, [tx_batch_limit]
+          descriptors; a driver that hands it to the device must not
+          refill it until the device has taken it. *)
+  rx_batch : Memory.Dma_desc.batch;  (** The same, for receive buffers. *)
   mutable poll_scheduled : bool;
   mutable tx_count : int;  (** Transmit completions taken by polls. *)
   mutable rx_count : int;  (** Received frames taken by polls. *)
   mutable polls : int;
+  poll : poll_state;
 }
 
 (** [create ~name ... ~tx_slots ~rx_slots] checks the slot counts, raising

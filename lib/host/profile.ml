@@ -1,8 +1,9 @@
 type t = {
   mutable hypervisor : Sim.Time.t;
-  (* Per-domain kernel/user time, keyed by domain id. *)
-  kernel : (Category.domain_id, Sim.Time.t ref) Hashtbl.t;
-  user : (Category.domain_id, Sim.Time.t ref) Hashtbl.t;
+  (* Per-domain kernel/user time, indexed by domain id and grown on
+     demand, so charging allocates nothing. *)
+  mutable kernel : Sim.Time.t array;
+  mutable user : Sim.Time.t array;
   mutable explicit_idle : Sim.Time.t;
   (* Time of the last reset; interval charges clamp their start here so a
      slice spanning the reset only contributes its post-reset part. *)
@@ -12,54 +13,54 @@ type t = {
 let create () =
   {
     hypervisor = Sim.Time.zero;
-    kernel = Hashtbl.create 32;
-    user = Hashtbl.create 32;
+    kernel = Array.make 32 Sim.Time.zero;
+    user = Array.make 32 Sim.Time.zero;
     explicit_idle = Sim.Time.zero;
     epoch = Sim.Time.zero;
   }
 
-let cell tbl dom =
-  match Hashtbl.find_opt tbl dom with
-  | Some r -> r
-  | None ->
-      let r = ref Sim.Time.zero in
-      Hashtbl.add tbl dom r;
-      r
+let grown cells dom =
+  if dom < 0 then invalid_arg "Profile: negative domain id";
+  let a = Array.make (max (dom + 1) (2 * Array.length cells)) Sim.Time.zero in
+  Array.blit cells 0 a 0 (Array.length cells);
+  a
 
-let add t cat dt =
+let[@cdna.hot] add t cat dt =
   match (cat : Category.t) with
   | Hypervisor -> t.hypervisor <- Sim.Time.add t.hypervisor dt
   | Kernel d ->
-      let r = cell t.kernel d in
-      r := Sim.Time.add !r dt
+      if d < 0 || d >= Array.length t.kernel then
+        (t.kernel <- grown t.kernel d
+        [@cdna.alloc_ok "first charge of a new domain id"]);
+      t.kernel.(d) <- Sim.Time.add t.kernel.(d) dt
   | User d ->
-      let r = cell t.user d in
-      r := Sim.Time.add !r dt
+      if d < 0 || d >= Array.length t.user then
+        (t.user <- grown t.user d
+        [@cdna.alloc_ok "first charge of a new domain id"]);
+      t.user.(d) <- Sim.Time.add t.user.(d) dt
   | Idle -> t.explicit_idle <- Sim.Time.add t.explicit_idle dt
+
+let cell cells d = if d >= 0 && d < Array.length cells then cells.(d) else 0
 
 let total t cat =
   match (cat : Category.t) with
   | Hypervisor -> t.hypervisor
-  | Kernel d -> (
-      match Hashtbl.find_opt t.kernel d with Some r -> !r | None -> 0)
-  | User d -> (
-      match Hashtbl.find_opt t.user d with Some r -> !r | None -> 0)
+  | Kernel d -> cell t.kernel d
+  | User d -> cell t.user d
   | Idle -> t.explicit_idle
 
-let[@cdna.unordered_ok "commutative time sum; iteration order cannot change it"]
-    sum_tbl tbl =
-  Hashtbl.fold (fun _ r acc -> Sim.Time.add acc !r) tbl 0
+let sum cells = Array.fold_left Sim.Time.add 0 cells
 
-let busy t = Sim.Time.add t.hypervisor (Sim.Time.add (sum_tbl t.kernel) (sum_tbl t.user))
+let busy t = Sim.Time.add t.hypervisor (Sim.Time.add (sum t.kernel) (sum t.user))
 
-let charge t cat ~start ~stop =
+let[@cdna.hot] charge t cat ~start ~stop =
   let start = Sim.Time.max start t.epoch in
   if Sim.Time.compare stop start > 0 then add t cat (Sim.Time.sub stop start)
 
 let reset ?(now = Sim.Time.zero) t =
   t.hypervisor <- Sim.Time.zero;
-  Hashtbl.reset t.kernel;
-  Hashtbl.reset t.user;
+  Array.fill t.kernel 0 (Array.length t.kernel) Sim.Time.zero;
+  Array.fill t.user 0 (Array.length t.user) Sim.Time.zero;
   t.explicit_idle <- Sim.Time.zero;
   t.epoch <- now
 
@@ -79,14 +80,14 @@ let report t ~window ~driver_domain =
   let is_driver dom =
     match driver_domain with Some d -> Int.equal d dom | None -> false
   in
-  let[@cdna.unordered_ok
-       "two disjoint commutative sums; iteration order cannot change them"]
-      split tbl =
-    Hashtbl.fold
-      (fun dom r (drv, guest) ->
-        if is_driver dom then (Sim.Time.add drv !r, guest)
-        else (drv, Sim.Time.add guest !r))
-      tbl (0, 0)
+  let split cells =
+    let drv = ref 0 and guest = ref 0 in
+    Array.iteri
+      (fun dom dt ->
+        if is_driver dom then drv := Sim.Time.add !drv dt
+        else guest := Sim.Time.add !guest dt)
+      cells;
+    (!drv, !guest)
   in
   let drv_k, guest_k = split t.kernel in
   let drv_u, guest_u = split t.user in

@@ -64,26 +64,30 @@ let validate t =
     Error "len_bytes must be 2 or 4"
   else check (fields t)
 
-let uint_write mem ~addr ~bytes v = Phys_mem.write_uint mem ~addr ~bytes v
+let[@cdna.hot] uint_write mem ~addr ~bytes v = Phys_mem.write_uint mem ~addr ~bytes v
 let uint_read mem ~addr ~bytes = Phys_mem.read_uint mem ~addr ~bytes
 
-let field_max bytes = if bytes >= 8 then max_int else (1 lsl (8 * bytes)) - 1
-let max_addr t = field_max t.addr_bytes
-let max_len t = field_max t.len_bytes
+let[@cdna.hot] field_max bytes = if bytes >= 8 then max_int else (1 lsl (8 * bytes)) - 1
+let[@cdna.hot] max_addr t = field_max t.addr_bytes
+let[@cdna.hot] max_len t = field_max t.len_bytes
+
+let[@cdna.hot] write_fields t mem ~at ~addr ~len ~flags ~seqno =
+  if addr < 0 || addr > max_addr t then
+    invalid_arg "Desc_layout.write: address does not fit layout";
+  if len < 0 || len > max_len t then
+    invalid_arg "Desc_layout.write: length does not fit layout";
+  if flags < 0 || flags > 0xFFFF then
+    invalid_arg "Desc_layout.write: flags out of range";
+  if seqno < 0 || seqno > 0xFFFF then
+    invalid_arg "Desc_layout.write: seqno out of range";
+  uint_write mem ~addr:(at + t.addr_off) ~bytes:t.addr_bytes addr;
+  uint_write mem ~addr:(at + t.len_off) ~bytes:t.len_bytes len;
+  uint_write mem ~addr:(at + t.flags_off) ~bytes:2 flags;
+  uint_write mem ~addr:(at + t.seqno_off) ~bytes:2 seqno
 
 let write t mem ~at (d : Dma_desc.t) =
-  if d.Dma_desc.addr < 0 || d.Dma_desc.addr > max_addr t then
-    invalid_arg "Desc_layout.write: address does not fit layout";
-  if d.Dma_desc.len < 0 || d.Dma_desc.len > max_len t then
-    invalid_arg "Desc_layout.write: length does not fit layout";
-  if d.Dma_desc.flags < 0 || d.Dma_desc.flags > 0xFFFF then
-    invalid_arg "Desc_layout.write: flags out of range";
-  if d.Dma_desc.seqno < 0 || d.Dma_desc.seqno > 0xFFFF then
-    invalid_arg "Desc_layout.write: seqno out of range";
-  uint_write mem ~addr:(at + t.addr_off) ~bytes:t.addr_bytes d.Dma_desc.addr;
-  uint_write mem ~addr:(at + t.len_off) ~bytes:t.len_bytes d.Dma_desc.len;
-  uint_write mem ~addr:(at + t.flags_off) ~bytes:2 d.Dma_desc.flags;
-  uint_write mem ~addr:(at + t.seqno_off) ~bytes:2 d.Dma_desc.seqno
+  write_fields t mem ~at ~addr:d.Dma_desc.addr ~len:d.Dma_desc.len
+    ~flags:d.Dma_desc.flags ~seqno:d.Dma_desc.seqno
 
 let read t mem ~at =
   {

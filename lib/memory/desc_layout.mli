@@ -37,6 +37,18 @@ val write : t -> Phys_mem.t -> at:Addr.t -> Dma_desc.t -> unit
 (** [read t mem ~at] deserializes per the layout. *)
 val read : t -> Phys_mem.t -> at:Addr.t -> Dma_desc.t
 
+(** [write_fields t mem ~at ~addr ~len ~flags ~seqno] is {!write} of the
+    descriptor with those fields, without building the record. *)
+val write_fields :
+  t ->
+  Phys_mem.t ->
+  at:Addr.t ->
+  addr:Addr.t ->
+  len:int ->
+  flags:int ->
+  seqno:int ->
+  unit
+
 (** Largest address representable under the layout. *)
 val max_addr : t -> Addr.t
 

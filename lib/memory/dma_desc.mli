@@ -36,3 +36,35 @@ val read : Phys_mem.t -> at:Addr.t -> t
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** {1 Batches}
+
+    A batch of descriptors to enqueue, as parallel arrays of addresses,
+    lengths and flags (the hypervisor assigns sequence numbers): the
+    driver fills one it owns per direction, so building a batch
+    allocates nothing. *)
+
+type batch
+
+(** [batch capacity] is an empty batch of at most [capacity]
+    descriptors.
+    @raise Invalid_argument if [capacity] is not positive. *)
+val batch : int -> batch
+
+(** The batch's descriptors ([d.seqno] is not kept), in order. *)
+val batch_of_list : t list -> batch
+
+val batch_clear : batch -> unit
+
+(** [batch_add b ~addr ~len ~flags] appends one descriptor.
+    @raise Invalid_argument if the batch is full. *)
+val batch_add : batch -> addr:Addr.t -> len:int -> flags:int -> unit
+
+val batch_length : batch -> int
+
+(** Fields of the [i]-th descriptor; [i] must be below
+    {!batch_length}. *)
+val batch_addr : batch -> int -> Addr.t
+
+val batch_len : batch -> int -> int
+val batch_flags : batch -> int -> int

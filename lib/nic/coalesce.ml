@@ -8,22 +8,10 @@ type t = {
   mutable fired : int;
   mutable suppressed : int;
   mutable ever_fired : bool;
+  mutable deliver_k : unit -> unit; (* built once, in [create] *)
 }
 
-let create engine ~min_gap ~fire =
-  {
-    engine;
-    min_gap;
-    fire;
-    last_fire = Sim.Time.zero;
-    armed = false;
-    requests = 0;
-    fired = 0;
-    suppressed = 0;
-    ever_fired = false;
-  }
-
-let deliver t =
+let[@cdna.hot] deliver t =
   t.armed <- false;
   t.last_fire <- Sim.Engine.now t.engine;
   t.ever_fired <- true;
@@ -34,7 +22,25 @@ let deliver t =
    delivery — immediate or scheduled, nothing cancels it ([fired]). The
    invariant [fired + suppressed = requests] therefore holds at every
    instant, not just when the engine drains. *)
-let request t =
+let create engine ~min_gap ~fire =
+  let t =
+    {
+      engine;
+      min_gap;
+      fire;
+      last_fire = Sim.Time.zero;
+      armed = false;
+      requests = 0;
+      fired = 0;
+      suppressed = 0;
+      ever_fired = false;
+      deliver_k = ignore;
+    }
+  in
+  t.deliver_k <- (fun () -> deliver t);
+  t
+
+let[@cdna.hot] request t =
   t.requests <- t.requests + 1;
   if t.armed then t.suppressed <- t.suppressed + 1
   else begin
@@ -46,7 +52,7 @@ let request t =
     if Sim.Time.compare allowed now <= 0 then deliver t
     else begin
       t.armed <- true;
-      ignore (Sim.Engine.schedule_at t.engine allowed (fun () -> deliver t))
+      ignore (Sim.Engine.schedule_at t.engine allowed t.deliver_k)
     end
   end
 

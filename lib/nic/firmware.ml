@@ -16,6 +16,7 @@ type t = {
   rx_slots : int array;
   mutable running : bool;
   mutable processed : int;
+  mutable loop_k : unit -> unit; (* [process_loop], built once *)
 }
 
 let mailbox t = Option.get t.mailbox
@@ -43,19 +44,24 @@ let dispatch t ~ctx ~mbox =
   else if mbox = mbox_rx_prod then Dp.rx_doorbell t.dp ~ctx ~prod:v
 (* Other mailboxes: general-purpose, ignored by this firmware. *)
 
-let rec process_loop t () =
-  match Mailbox.next_event (mailbox t) with
-  | None -> t.running <- false
-  | Some (ctx, mbox) ->
-      Mailbox.clear_event (mailbox t) ~ctx ~mbox;
-      t.processed <- t.processed + 1;
-      dispatch t ~ctx ~mbox;
-      ignore (Sim.Engine.schedule t.engine ~delay:t.process_cost (process_loop t))
+(* One mailbox event per step, lowest context then lowest mailbox first
+   (the order of [Mailbox.next_event]), each costing [process_cost]. *)
+let process_loop t =
+  let mb = mailbox t in
+  let ctx = Mailbox.next_ctx mb in
+  let mbox = if ctx < 0 then -1 else Mailbox.next_box mb ~ctx in
+  if mbox < 0 then t.running <- false
+  else begin
+    Mailbox.clear_event mb ~ctx ~mbox;
+    t.processed <- t.processed + 1;
+    dispatch t ~ctx ~mbox;
+    ignore (Sim.Engine.schedule t.engine ~delay:t.process_cost t.loop_k)
+  end
 
 let on_event t () =
   if not t.running then begin
     t.running <- true;
-    ignore (Sim.Engine.schedule t.engine ~delay:t.process_cost (process_loop t))
+    ignore (Sim.Engine.schedule t.engine ~delay:t.process_cost t.loop_k)
   end
 
 let create engine ~dp ~process_cost () =
@@ -70,8 +76,10 @@ let create engine ~dp ~process_cost () =
       rx_slots = Array.make contexts 0;
       running = false;
       processed = 0;
+      loop_k = ignore;
     }
   in
+  t.loop_k <- (fun () -> process_loop t);
   t.mailbox <- Some (Mailbox.create ~contexts ~on_event:(fun () -> on_event t ()));
   t
 

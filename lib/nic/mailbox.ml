@@ -64,17 +64,24 @@ let pending_boxes t ~ctx =
   check_ctx t ctx;
   t.box_vectors.(ctx)
 
-let lowest_bit v =
-  let rec scan i = if v land (1 lsl i) <> 0 then i else scan (i + 1) in
-  if v = 0 then None else Some (scan 0)
+let[@cdna.hot] rec lowest_bit v i =
+  if v land (1 lsl i) <> 0 then i else lowest_bit v (i + 1)
+
+let[@cdna.hot] next_ctx t =
+  if t.ctx_vector = 0 then -1 else lowest_bit t.ctx_vector 0
+
+let[@cdna.hot] next_box t ~ctx =
+  check_ctx t ctx;
+  let v = t.box_vectors.(ctx) in
+  if v = 0 then -1 else lowest_bit v 0
 
 let next_event t =
-  match lowest_bit t.ctx_vector with
-  | None -> None
-  | Some ctx -> (
-      match lowest_bit t.box_vectors.(ctx) with
-      | Some mbox -> Some (ctx, mbox)
-      | None -> None (* inconsistent hierarchy; unreachable *))
+  let ctx = next_ctx t in
+  if ctx < 0 then None
+  else
+    let mbox = next_box t ~ctx in
+    if mbox < 0 then None (* inconsistent hierarchy; unreachable *)
+    else Some (ctx, mbox)
 
 let clear_event t ~ctx ~mbox =
   check_ctx t ctx;

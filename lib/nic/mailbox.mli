@@ -45,8 +45,16 @@ val pending_contexts : t -> int
 (** Second-level vector for one context. *)
 val pending_boxes : t -> ctx:int -> int
 
+(** Lowest context with pending events, or [-1] if none. Allocation-free
+    first step of the decode; the firmware's event loop runs on it. *)
+val next_ctx : t -> int
+
+(** Lowest pending mailbox of [ctx], or [-1] if none. *)
+val next_box : t -> ctx:int -> int
+
 (** [next_event t] decodes the hierarchy: lowest pending context, lowest
-    pending mailbox within it — without clearing. *)
+    pending mailbox within it — without clearing. Defined on {!next_ctx}
+    and {!next_box}. *)
 val next_event : t -> (int * int) option
 
 (** [clear_event t ~ctx ~mbox] clears one event bit (and the context's

@@ -6,16 +6,30 @@ type t = {
   kind : kind;
   entity : Host.Cpu.entity;
   mem : Memory.Phys_mem.t;
+  (* Built once: charging work to the domain allocates nothing. *)
+  kernel_cat : Host.Category.t;
+  user_cat : Host.Category.t;
   mutable virqs : int;
 }
 
-let make ~id ~name ~kind ~entity ~mem = { id; name; kind; entity; mem; virqs = 0 }
+let make ~id ~name ~kind ~entity ~mem =
+  {
+    id;
+    name;
+    kind;
+    entity;
+    mem;
+    kernel_cat = Host.Category.Kernel id;
+    user_cat = Host.Category.User id;
+    virqs = 0;
+  }
+
 let id t = t.id
 let name t = t.name
 let kind t = t.kind
 let entity t = t.entity
-let kernel t = Host.Category.Kernel t.id
-let user t = Host.Category.User t.id
+let kernel t = t.kernel_cat
+let user t = t.user_cat
 let pages t = Memory.Phys_mem.owned_pages t.mem t.id
 let page_count t = List.length (pages t)
 let virq_count t = t.virqs

@@ -64,21 +64,22 @@ let free_page t dom pfn =
     invalid_arg "Hypervisor.free_page: domain does not own page";
   Memory.Phys_mem.free t.mem pfn
 
-let hypercall t ~from ~cost fn =
+let[@cdna.hot] hypercall t ~from ~cost fn =
   t.hypercalls <- t.hypercalls + 1;
   if Sim.Trace.tag_enabled "hypercall" then
-    Sim.Trace.instant ~time:(Sim.Engine.now t.engine) ~tag:"hypercall"
-      ~pid:(Domain.id from + 1)
-      ~args:
-        [
-          ("cost_ns", Sim.Trace.Int (Sim.Time.to_ns cost));
-          ("domain", Sim.Trace.Str (Domain.name from));
-        ]
-      "hypercall";
+    (Sim.Trace.instant ~time:(Sim.Engine.now t.engine) ~tag:"hypercall"
+       ~pid:(Domain.id from + 1)
+       ~args:
+         [
+           ("cost_ns", Sim.Trace.Int (Sim.Time.to_ns cost));
+           ("domain", Sim.Trace.Str (Domain.name from));
+         ]
+       "hypercall"
+    [@cdna.alloc_ok "tracing branch, disabled unless the hypercall tag is on"]);
   Host.Cpu.post t.cpu (Domain.entity from) ~category:Host.Category.Hypervisor
     ~cost fn
 
-let kernel_work t dom ~cost fn =
+let[@cdna.hot] kernel_work t dom ~cost fn =
   Host.Cpu.post t.cpu (Domain.entity dom) ~category:(Domain.kernel dom) ~cost fn
 
 let user_work t dom ~cost fn =

@@ -70,10 +70,9 @@ let declared_sinks : sens list SMap.t =
   SMap.of_seq
     (List.to_seq
        [
-         ("Dma_engine.read", [ Lab "addr"; Lab "len" ]);
          ("Dma_engine.read_into", [ Lab "addr"; Lab "len" ]);
-         ("Dma_engine.write", [ Lab "addr" ]);
          ("Dma_engine.write_from", [ Lab "addr"; Lab "len" ]);
+         ("Dma_engine.write_words", [ Lab "addr" ]);
          ("Dma_engine.access", [ Lab "addr"; Lab "len" ]);
          ("Phys_mem.write", [ Lab "addr" ]);
          ("Phys_mem.write_sub", [ Lab "addr"; Lab "len" ]);
@@ -83,6 +82,9 @@ let declared_sinks : sens list SMap.t =
          ("Phys_mem.write_u32", [ Lab "addr" ]);
          ("Phys_mem.write_u64", [ Lab "addr" ]);
          ("Desc_layout.write", [ Lab "at" ]);
+         (* The field-wise form of [write]: its [addr]/[len] are the
+            fields T2 checks on a [Dma_desc.t] under construction. *)
+         ("Desc_layout.write_fields", [ Lab "at"; Lab "addr"; Lab "len" ]);
          ("Iommu.grant", [ Pos 1 ]);
          ("Phys_mem.get_ref", [ Pos 1 ]);
        ])

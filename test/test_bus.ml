@@ -73,15 +73,20 @@ let dma_fixture () =
   let dma = Bus.Dma_engine.create engine ~mem () in
   (engine, mem, dma)
 
+let dma_write dma ~context ~addr ~data k =
+  Bus.Dma_engine.write_from dma ~context ~addr ~src:data ~pos:0
+    ~len:(Bytes.length data) k
+
 let test_dma_write_then_read () =
   let engine, _, dma = dma_fixture () in
   let data = Bytes.of_string "dma payload" in
   let read_back = ref Bytes.empty in
-  Bus.Dma_engine.write dma ~context:0 ~addr:1000 ~data (fun r ->
+  dma_write dma ~context:0 ~addr:1000 ~data (fun r ->
       check_bool "write ok" true (r = Ok ());
-      Bus.Dma_engine.read dma ~context:0 ~addr:1000 ~len:(Bytes.length data)
-        (function
-        | Ok b -> read_back := b
+      let dst = Bytes.create (Bytes.length data) in
+      Bus.Dma_engine.read_into dma ~context:0 ~addr:1000
+        ~len:(Bytes.length data) ~dst ~pos:0 (function
+        | Ok () -> read_back := dst
         | Error _ -> Alcotest.fail "read failed"));
   ignore (Sim.Engine.run_to_completion engine);
   check Alcotest.string "bytes moved" "dma payload" (Bytes.to_string !read_back)
@@ -89,7 +94,7 @@ let test_dma_write_then_read () =
 let test_dma_is_asynchronous () =
   let engine, _, dma = dma_fixture () in
   let completed = ref false in
-  Bus.Dma_engine.write dma ~context:0 ~addr:0 ~data:(Bytes.create 1500)
+  dma_write dma ~context:0 ~addr:0 ~data:(Bytes.create 1500)
     (fun _ -> completed := true);
   check_bool "not yet complete" false !completed;
   ignore (Sim.Engine.run_to_completion engine);
@@ -100,9 +105,9 @@ let test_dma_transfers_serialize () =
      shared serial resource. *)
   let engine, _, dma = dma_fixture () in
   let t1 = ref 0 and t2 = ref 0 in
-  Bus.Dma_engine.write dma ~context:0 ~addr:0 ~data:(Bytes.create 4096)
+  dma_write dma ~context:0 ~addr:0 ~data:(Bytes.create 4096)
     (fun _ -> t1 := Sim.Engine.now engine);
-  Bus.Dma_engine.write dma ~context:0 ~addr:8192 ~data:(Bytes.create 4096)
+  dma_write dma ~context:0 ~addr:8192 ~data:(Bytes.create 4096)
     (fun _ -> t2 := Sim.Engine.now engine);
   ignore (Sim.Engine.run_to_completion engine);
   check_bool "second later" true (!t2 > !t1);
@@ -117,8 +122,8 @@ let test_dma_transfers_serialize () =
 let test_dma_bad_range () =
   let engine, _, dma = dma_fixture () in
   let result = ref None in
-  Bus.Dma_engine.read dma ~context:0 ~addr:(32 * 4096) ~len:8 (fun r ->
-      result := Some r);
+  Bus.Dma_engine.read_into dma ~context:0 ~addr:(32 * 4096) ~len:8
+    ~dst:(Bytes.create 8) ~pos:0 (fun r -> result := Some r);
   ignore (Sim.Engine.run_to_completion engine);
   check_bool "rejected immediately" true (!result = Some (Error `Bad_range))
 
@@ -128,9 +133,9 @@ let test_dma_iommu_enforcement () =
   Memory.Iommu.grant iommu ~context:5 1;
   Bus.Dma_engine.set_iommu dma (Some iommu);
   let ok = ref None and denied = ref None in
-  Bus.Dma_engine.write dma ~context:5 ~addr:4096 ~data:(Bytes.create 64)
+  dma_write dma ~context:5 ~addr:4096 ~data:(Bytes.create 64)
     (fun r -> ok := Some r);
-  Bus.Dma_engine.write dma ~context:5 ~addr:8192 ~data:(Bytes.create 64)
+  dma_write dma ~context:5 ~addr:8192 ~data:(Bytes.create 64)
     (fun r -> denied := Some r);
   ignore (Sim.Engine.run_to_completion engine);
   check_bool "granted page ok" true (!ok = Some (Ok ()));
@@ -138,7 +143,7 @@ let test_dma_iommu_enforcement () =
   (* Removing the IOMMU restores trust. *)
   Bus.Dma_engine.set_iommu dma None;
   let after = ref None in
-  Bus.Dma_engine.write dma ~context:5 ~addr:8192 ~data:(Bytes.create 64)
+  dma_write dma ~context:5 ~addr:8192 ~data:(Bytes.create 64)
     (fun r -> after := Some r);
   ignore (Sim.Engine.run_to_completion engine);
   check_bool "trusted again" true (!after = Some (Ok ()))
@@ -156,7 +161,7 @@ let test_dma_iommu_checks_all_pages () =
 
 let test_dma_stats () =
   let engine, _, dma = dma_fixture () in
-  Bus.Dma_engine.write dma ~context:0 ~addr:0 ~data:(Bytes.create 100) ignore;
+  dma_write dma ~context:0 ~addr:0 ~data:(Bytes.create 100) ignore;
   Bus.Dma_engine.access dma ~context:0 ~addr:0 ~len:50 ignore;
   ignore (Sim.Engine.run_to_completion engine);
   check_int "transfers" 2 (Bus.Dma_engine.transfers dma);

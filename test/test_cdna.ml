@@ -45,23 +45,23 @@ let prop_seqno_wraparound_continuity =
 
 (* ---------- Intr_vector ---------- *)
 
-let intr_fixture ?(slots = 4) () =
+let intr_fixture ?(slots = 4) ?(on_landed = ignore) () =
   let engine = Sim.Engine.create () in
   let mem = Memory.Phys_mem.create ~total_pages:16 () in
   let dma = Bus.Dma_engine.create engine ~mem () in
   let iv =
     Cdna.Intr_vector.create ~mem ~dma ~base:(Memory.Addr.base_of_pfn 1) ~slots
-      ~dma_context:0
+      ~dma_context:0 ~on_landed
   in
   (engine, mem, iv)
 
 let test_intr_vector_roundtrip () =
-  let engine, _, iv = intr_fixture () in
   let done_count = ref 0 in
-  check_bool "post 1" true
-    (Cdna.Intr_vector.try_post iv ~bits:0b1010 ~on_done:(fun () -> incr done_count));
-  check_bool "post 2" true
-    (Cdna.Intr_vector.try_post iv ~bits:0b0001 ~on_done:(fun () -> incr done_count));
+  let engine, _, iv =
+    intr_fixture ~on_landed:(fun () -> incr done_count) ()
+  in
+  check_bool "post 1" true (Cdna.Intr_vector.try_post iv ~bits:0b1010);
+  check_bool "post 2" true (Cdna.Intr_vector.try_post iv ~bits:0b0001);
   ignore (Sim.Engine.run_to_completion engine);
   check_int "both landed" 2 !done_count;
   check (Alcotest.list Alcotest.int) "drained in order" [ 0b1010; 0b0001 ]
@@ -72,22 +72,22 @@ let test_intr_vector_roundtrip () =
 let test_intr_vector_producer_consumer_protocol () =
   (* Vectors must never be overwritten before the host drains them. *)
   let engine, _, iv = intr_fixture ~slots:2 () in
-  check_bool "1" true (Cdna.Intr_vector.try_post iv ~bits:1 ~on_done:ignore);
-  check_bool "2" true (Cdna.Intr_vector.try_post iv ~bits:2 ~on_done:ignore);
-  check_bool "full refuses" false (Cdna.Intr_vector.try_post iv ~bits:3 ~on_done:ignore);
+  check_bool "1" true (Cdna.Intr_vector.try_post iv ~bits:1);
+  check_bool "2" true (Cdna.Intr_vector.try_post iv ~bits:2);
+  check_bool "full refuses" false (Cdna.Intr_vector.try_post iv ~bits:3);
   ignore (Sim.Engine.run_to_completion engine);
   check (Alcotest.list Alcotest.int) "first two preserved" [ 1; 2 ]
     (Cdna.Intr_vector.drain iv);
   (* Space recovered after drain. *)
   check_bool "post after drain" true
-    (Cdna.Intr_vector.try_post iv ~bits:3 ~on_done:ignore);
+    (Cdna.Intr_vector.try_post iv ~bits:3);
   ignore (Sim.Engine.run_to_completion engine);
   check (Alcotest.list Alcotest.int) "third" [ 3 ] (Cdna.Intr_vector.drain iv)
 
 let test_intr_vector_drain_only_landed () =
   (* A vector whose DMA has not completed is invisible to the host. *)
   let engine, _, iv = intr_fixture () in
-  ignore (Cdna.Intr_vector.try_post iv ~bits:7 ~on_done:ignore);
+  ignore (Cdna.Intr_vector.try_post iv ~bits:7);
   check (Alcotest.list Alcotest.int) "nothing landed yet" []
     (Cdna.Intr_vector.drain iv);
   ignore (Sim.Engine.run_to_completion engine);
@@ -159,7 +159,8 @@ let assign fx ?(guest : Xen.Domain.t option) ~mac_idx () =
   | Ok h -> h
   | Error `No_free_context -> Alcotest.fail "no free context"
 
-let setup_rings fx h =
+(* Registers fresh tx/rx ring and status pages; returns their pfns. *)
+let setup_ring_pages fx h =
   let guest = Cdna.Hyp.guest_of h in
   let page () = List.hd (Xen.Hypervisor.alloc_pages fx.xen guest 1) in
   let tx = page () and rx = page () and status = page () in
@@ -183,7 +184,18 @@ let setup_rings fx h =
            ~addr:(Memory.Addr.base_of_pfn status) k)
    with
   | Ok () -> ()
-  | Error _ -> Alcotest.fail "status registration failed")
+  | Error _ -> Alcotest.fail "status registration failed");
+  (tx, rx, status)
+
+let setup_rings fx h = ignore (setup_ring_pages fx h)
+
+(* The enqueue hypercall on a list of descriptors, answering with the
+   new producer index on success. *)
+let enqueue fx h dir descs k =
+  Cdna.Hyp.enqueue fx.cdna h dir (Memory.Dma_desc.batch_of_list descs)
+    (function
+      | Ok () -> k (Ok (Cdna.Hyp.producer h dir))
+      | Error e -> k (Error e))
 
 let own_desc fx h ?(len = 500) () =
   let pfn = List.hd (Xen.Hypervisor.alloc_pages fx.xen (Cdna.Hyp.guest_of h) 1) in
@@ -246,7 +258,7 @@ let test_faulted_slot_withheld_until_reset () =
      descriptor, so the NIC's sequence check fires. *)
   (match
      await fx (fun k ->
-         Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k)
+         enqueue fx h Cdna.Hyp.Tx [ own_desc fx h () ] k)
    with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
@@ -278,7 +290,7 @@ let test_faulted_slot_withheld_until_reset () =
   let hw' = Cdna.Hyp.driver_if fresh in
   (match
      await fx (fun k ->
-         Cdna.Hyp.enqueue fx.cdna fresh Cdna.Hyp.Tx [ own_desc fx fresh () ] k)
+         enqueue fx fresh Cdna.Hyp.Tx [ own_desc fx fresh () ] k)
    with
   | Ok prod -> check_int "producer restarts with the slot" 1 prod
   | Error _ -> Alcotest.fail "enqueue on reused slot failed");
@@ -297,7 +309,7 @@ let test_hyp_enqueue_validates_ownership () =
   let h = assign fx ~mac_idx:1 () in
   setup_rings fx h;
   (* Own page: accepted. *)
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
   | Ok prod -> check_int "producer advanced" 1 prod
   | Error _ -> Alcotest.fail "own page rejected");
   (* Foreign page: rejected with the culprit pfn. *)
@@ -310,7 +322,7 @@ let test_hyp_enqueue_validates_ownership () =
       seqno = 0;
     }
   in
-  match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ bad ] k) with
+  match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ bad ] k) with
   | Error (`Not_owner pfn) -> check_int "culprit" foreign pfn
   | _ -> Alcotest.fail "foreign page accepted"
 
@@ -324,7 +336,7 @@ let test_hyp_enqueue_rejects_whole_batch () =
   in
   (match
      await fx (fun k ->
-         Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h (); bad ] k)
+         enqueue fx h Cdna.Hyp.Tx [ own_desc fx h (); bad ] k)
    with
   | Error (`Not_owner _) -> ()
   | _ -> Alcotest.fail "batch with foreign page accepted");
@@ -337,7 +349,7 @@ let test_hyp_enqueue_pins_and_lazily_unpins () =
   setup_rings fx h;
   let hw = Cdna.Hyp.driver_if h in
   let d1 = own_desc fx h () in
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ d1 ] k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ d1 ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
   check_int "pinned" 1 (Cdna.Hyp.pinned_pages h);
@@ -349,7 +361,7 @@ let test_hyp_enqueue_pins_and_lazily_unpins () =
   run fx 5;
   (* Still pinned: unpinning is lazy, on the next enqueue. *)
   check_int "still pinned" 1 (Cdna.Hyp.pinned_pages h);
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "second enqueue failed");
   check_int "old pin dropped, new pin live" 1 (Cdna.Hyp.pinned_pages h);
@@ -361,7 +373,7 @@ let test_hyp_pinned_page_cannot_move () =
   let h = assign fx ~mac_idx:1 () in
   setup_rings fx h;
   let d = own_desc fx h () in
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Rx [ d ] k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Rx [ d ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
   let pfn = Memory.Addr.pfn_of d.Memory.Dma_desc.addr in
@@ -382,7 +394,7 @@ let test_hyp_enqueue_ring_full () =
   let rec push n = function
     | [] -> n
     | d :: rest -> (
-        match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ d ] k) with
+        match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ d ] k) with
         | Ok _ -> push (n + 1) rest
         | Error `Ring_full -> n
         | Error _ -> Alcotest.fail "unexpected error")
@@ -392,7 +404,7 @@ let test_hyp_enqueue_ring_full () =
 let test_hyp_enqueue_unregistered_ring () =
   let fx = fixture () in
   let h = assign fx ~mac_idx:1 () in
-  match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
+  match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
   | Error `Ring_unregistered -> ()
   | _ -> Alcotest.fail "expected Ring_unregistered"
 
@@ -401,7 +413,7 @@ let test_hyp_enqueue_after_revoke () =
   let h = assign fx ~mac_idx:1 () in
   setup_rings fx h;
   Cdna.Hyp.revoke fx.cdna h;
-  match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
+  match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
   | Error `Revoked -> ()
   | _ -> Alcotest.fail "expected Revoked"
 
@@ -422,7 +434,7 @@ let test_hyp_revoke_unpins_everything () =
   let h = assign fx ~mac_idx:1 () in
   setup_rings fx h;
   let descs = List.init 5 (fun _ -> own_desc fx h ()) in
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Rx descs k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Rx descs k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
   check_int "pinned" 5 (Cdna.Hyp.pinned_pages h);
@@ -437,6 +449,48 @@ let test_hyp_revoke_unpins_everything () =
         (Memory.Phys_mem.refcount fx.mem pfn))
     pfns
 
+(* Replacing a ring restarts its descriptor indices; the old ring's pins
+   must neither be dropped (the NIC may still DMA those pages) nor sit
+   ahead of the new ring's in the pin ring. Re-registration waits until
+   the NIC has consumed them. *)
+let test_hyp_reregister_with_live_pins () =
+  let fx = fixture () in
+  let h = assign fx ~mac_idx:1 () in
+  let _, _, status = setup_ring_pages fx h in
+  let descs = List.init 5 (fun _ -> own_desc fx h ()) in
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Rx descs k) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "enqueue failed");
+  let pfns =
+    List.map (fun d -> Memory.Addr.pfn_of d.Memory.Dma_desc.addr) descs
+  in
+  let new_ring = List.hd (Xen.Hypervisor.alloc_pages fx.xen fx.guest 1) in
+  let reregister () =
+    await fx (fun k ->
+        Cdna.Hyp.register_ring fx.cdna h Cdna.Hyp.Rx
+          ~base:(Memory.Addr.base_of_pfn new_ring) ~slots:64 k)
+  in
+  (match reregister () with
+  | Error `Ring_busy -> ()
+  | Ok () -> Alcotest.fail "re-registration accepted with live pins"
+  | Error _ -> Alcotest.fail "expected Ring_busy");
+  check_int "pins kept" 5 (Cdna.Hyp.pinned_pages h);
+  check_int "producer kept" 5 (Cdna.Hyp.producer h Cdna.Hyp.Rx);
+  List.iter
+    (fun pfn -> check_int "still pinned" 1 (Memory.Phys_mem.refcount fx.mem pfn))
+    pfns;
+  (* The NIC consumes all five; the next enqueue releases their pins and
+     the ring can then be replaced. *)
+  Memory.Phys_mem.write_u32 fx.mem
+    ~addr:(Memory.Addr.base_of_pfn status + 4) 5;
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Rx [] k) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "empty enqueue failed");
+  check_int "released" 0 (Cdna.Hyp.pinned_pages h);
+  match reregister () with
+  | Ok () -> check_int "producer restarted" 0 (Cdna.Hyp.producer h Cdna.Hyp.Rx)
+  | Error _ -> Alcotest.fail "re-registration refused with no pins"
+
 (* ---------- Protection fault reporting ---------- *)
 
 let test_fault_attributed_to_guest () =
@@ -444,7 +498,7 @@ let test_fault_attributed_to_guest () =
   let h = assign fx ~mac_idx:1 () in
   setup_rings fx h;
   let hw = Cdna.Hyp.driver_if h in
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
   hw.Nic.Driver_if.stage_tx_meta (meta_frame h ~seq:0);
@@ -468,7 +522,7 @@ let test_disabled_mode_skips_validation () =
   let bad =
     { Memory.Dma_desc.addr = Memory.Addr.base_of_pfn foreign; len = 100; flags = 0; seqno = 0 }
   in
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ bad ] k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ bad ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "disabled mode rejected a descriptor");
   check_int "nothing pinned" 0 (Cdna.Hyp.pinned_pages h)
@@ -482,7 +536,7 @@ let test_iommu_mode_blocks_foreign_dma () =
      point it at a foreign page (the guest owns its ring pages only under
      Full protection, so Iommu mode leaves this window — which the IOMMU
      itself must close). *)
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
   check_int "granted to iommu while in flight" 1 (Cdna.Hyp.pinned_pages h);
@@ -491,6 +545,51 @@ let test_iommu_mode_blocks_foreign_dma () =
   hw.Nic.Driver_if.tx_doorbell 1;
   run fx 5;
   check_int "frame sent" 1 (Cdna.Cnic.stats fx.nic).Nic.Dp.tx_frames
+
+(* Under Iommu the guest owns its ring memory, so it can rewrite a slot
+   the hypervisor stamped. Assign a context to one guest, register its
+   rings, revoke it, and hand the same slot to a second guest; that guest
+   then forges a transmit descriptor naming [target g0_pages] (one of the
+   first guest's pages) and rings the doorbell. Returns the frames
+   transmitted and the faults recorded. *)
+let forged_after_revoke ~target =
+  let fx = fixture ~protection:Cdna.Cdna_costs.Iommu () in
+  let h0 = assign fx ~mac_idx:1 () in
+  let g0_pages = setup_ring_pages fx h0 in
+  Cdna.Hyp.revoke fx.cdna h0;
+  let h1 = assign fx ~guest:fx.guest2 ~mac_idx:2 () in
+  check_int "same slot" (Cdna.Hyp.ctx_id h0) (Cdna.Hyp.ctx_id h1);
+  let tx1, _, _ = setup_ring_pages fx h1 in
+  (match
+     await fx (fun k -> enqueue fx h1 Cdna.Hyp.Tx [ own_desc fx h1 () ] k)
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "honest enqueue failed");
+  let hw = Cdna.Hyp.driver_if h1 in
+  Memory.Desc_layout.write hw.Nic.Driver_if.desc_layout fx.mem
+    ~at:(Memory.Addr.base_of_pfn tx1)
+    {
+      Memory.Dma_desc.addr = Memory.Addr.base_of_pfn (target g0_pages);
+      len = 64;
+      flags = Memory.Dma_desc.flag_end_of_packet;
+      seqno = 0;
+    };
+  hw.Nic.Driver_if.stage_tx_meta (meta_frame h1 ~seq:0);
+  hw.Nic.Driver_if.tx_doorbell 1;
+  run fx 5;
+  ( (Cdna.Cnic.stats fx.nic).Nic.Dp.tx_frames,
+    List.length (Cdna.Hyp.faults fx.cdna) )
+
+(* Revocation must take the context's ring and status page grants with
+   it: the slot's next occupant cannot DMA the previous owner's rings. *)
+let test_iommu_revoke_drops_ring_grants () =
+  let tx_ring (tx, _, _) = tx and status (_, _, st) = st in
+  List.iter
+    (fun (name, target) ->
+      let tx_frames, faults = forged_after_revoke ~target in
+      check_int (name ^ ": nothing transmitted") 0 tx_frames;
+      check_int (name ^ ": faulted") 1 faults)
+    [ ("old tx ring page", tx_ring); ("old status page", status) ]
 
 (* Forged-descriptor end-to-end: the guest posts an Rx descriptor naming a
    page owned by another domain, then traffic arrives for it. The whole
@@ -507,7 +606,7 @@ let forged_rx_roundtrip ~protection =
     { Memory.Dma_desc.addr = victim_addr; len = 256; flags = 0; seqno = 0 }
   in
   let result =
-    await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Rx [ forged ] k)
+    await fx (fun k -> enqueue fx h Cdna.Hyp.Rx [ forged ] k)
   in
   (* If the hypervisor let the descriptor through, hand it to the NIC the
      way a driver would and deliver a frame addressed to this guest. *)
@@ -762,10 +861,10 @@ let test_enqueue_call_accounting () =
   let h = assign fx ~mac_idx:1 () in
   setup_rings fx h;
   check_int "no calls yet" 0 (Cdna.Hyp.enqueue_calls fx.cdna);
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx [ own_desc fx h () ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
-  (match await fx (fun k -> Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Rx [ own_desc fx h () ] k) with
+  (match await fx (fun k -> enqueue fx h Cdna.Hyp.Rx [ own_desc fx h () ] k) with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "enqueue failed");
   check_int "two hypercalls" 2 (Cdna.Hyp.enqueue_calls fx.cdna)
@@ -1055,7 +1154,7 @@ let test_paging_lifecycle_preserves_tx_state () =
   (* Two frames before any paging: the hypervisor stamps seqnos 0 and 1. *)
   (match
      await fx (fun k ->
-         Cdna.Hyp.enqueue fx.cdna h1 Cdna.Hyp.Tx
+         enqueue fx h1 Cdna.Hyp.Tx
            [ own_desc fx h1 (); own_desc fx h1 () ]
            k)
    with
@@ -1087,7 +1186,7 @@ let test_paging_lifecycle_preserves_tx_state () =
      slot, transparently to the driver. *)
   (match
      await fx (fun k ->
-         Cdna.Hyp.enqueue fx.cdna h1 Cdna.Hyp.Tx
+         enqueue fx h1 Cdna.Hyp.Tx
            [ own_desc fx h1 (); own_desc fx h1 () ]
            k)
    with
@@ -1149,7 +1248,7 @@ let prop_paging_interleaving =
         let hw = Cdna.Hyp.driver_if h in
         (match
            await fx (fun k ->
-               Cdna.Hyp.enqueue fx.cdna h Cdna.Hyp.Tx [ own_desc fx h () ] k)
+               enqueue fx h Cdna.Hyp.Tx [ own_desc fx h () ] k)
          with
         | Ok prod ->
             hw.Nic.Driver_if.stage_tx_meta (meta_frame h ~seq:prod);
@@ -1186,6 +1285,100 @@ let prop_paging_interleaving =
       && (Cdna.Cnic.stats fx.nic).Nic.Dp.faults = 0)
 
 let qcheck = QCheck_alcotest.to_alcotest
+
+(* ---------- The pin ring ---------- *)
+
+(* Random enqueue / consume steps on one tx ring (64 slots) against a
+   list-of-pins model: enqueue [lens] (one descriptor per length, each
+   buffer on a page of a small pool, spanning one or two pages), or let
+   the NIC's consumer index advance by [n]. Hypervisor-side pins must
+   match the model after every step: a descriptor's pages stay pinned
+   until an enqueue observes the consumer index past it. Hundreds of
+   descriptors go through, so the pin ring wraps many times. *)
+type pin_step = Enqueue of int list | Consume of int
+
+let pin_step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun l -> Enqueue l) (list_size (int_range 0 12) (int_range 0 6000)));
+        (2, map (fun n -> Consume n) (int_range 0 40));
+      ])
+
+let pin_step_print = function
+  | Enqueue l ->
+      Printf.sprintf "Enqueue [%s]" (String.concat ";" (List.map string_of_int l))
+  | Consume n -> Printf.sprintf "Consume %d" n
+
+let prop_pin_ring_matches_model =
+  QCheck.Test.make ~name:"pin ring releases exactly the descriptors below the consumer index"
+    ~count:25
+    (QCheck.make
+       ~print:(QCheck.Print.list pin_step_print)
+       QCheck.Gen.(list_size (int_range 60 160) pin_step_gen))
+    (fun steps ->
+      let fx = fixture () in
+      let h = assign fx ~mac_idx:1 () in
+      let _, _, status = setup_ring_pages fx h in
+      let pool =
+        Array.of_list (Xen.Hypervisor.alloc_pages fx.xen fx.guest 9)
+      in
+      (* Buffers sit at an offset in a pool page and may cross into the
+         next page: the pool must be contiguous. *)
+      Array.iteri (fun i p -> assert (p = pool.(0) + i)) pool;
+      let model = ref [] (* (descriptor index, pfns), oldest first *) in
+      let prod = ref 0 and cons = ref 0 and cursor = ref 0 in
+      let refs pfn = Memory.Phys_mem.refcount fx.mem pfn in
+      let agrees () =
+        let pins = List.concat_map snd !model in
+        Cdna.Hyp.pinned_pages h = List.length pins
+        && Array.for_all
+             (fun pfn ->
+               refs pfn = List.length (List.filter (Int.equal pfn) pins))
+             pool
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Consume n ->
+              cons := min !prod (!cons + n);
+              Memory.Phys_mem.write_u32 fx.mem
+                ~addr:(Memory.Addr.base_of_pfn status) !cons
+          | Enqueue lens ->
+              let descs =
+                List.map
+                  (fun len ->
+                    incr cursor;
+                    let page = pool.(!cursor mod (Array.length pool - 1)) in
+                    {
+                      Memory.Dma_desc.addr =
+                        Memory.Addr.base_of_pfn page + 2048;
+                      len;
+                      flags = Memory.Dma_desc.flag_end_of_packet;
+                      seqno = 0;
+                    })
+                  lens
+              in
+              (* The hypercall first drops the pins the NIC released. *)
+              model := List.filter (fun (idx, _) -> idx >= !cons) !model;
+              let fits = !prod + List.length descs - !cons <= 64 in
+              (match await fx (fun k -> enqueue fx h Cdna.Hyp.Tx descs k) with
+              | Ok p ->
+                  assert fits;
+                  List.iteri
+                    (fun i (d : Memory.Dma_desc.t) ->
+                      model :=
+                        !model
+                        @ [
+                            ( !prod + i,
+                              Memory.Addr.pages_spanned ~addr:d.addr ~len:d.len );
+                          ])
+                    descs;
+                  prod := p
+              | Error `Ring_full -> assert (not fits)
+              | Error _ -> assert false));
+          agrees ())
+        steps)
 
 let suite =
   [
@@ -1230,9 +1423,14 @@ let suite =
         Alcotest.test_case "ring registration validates" `Quick
           test_hyp_ring_registration_validates;
         Alcotest.test_case "revoke unpins" `Quick test_hyp_revoke_unpins_everything;
+        Alcotest.test_case "re-register waits for pins" `Quick
+          test_hyp_reregister_with_live_pins;
         Alcotest.test_case "fault attribution" `Quick test_fault_attributed_to_guest;
         Alcotest.test_case "disabled mode" `Quick test_disabled_mode_skips_validation;
         Alcotest.test_case "iommu mode" `Quick test_iommu_mode_blocks_foreign_dma;
+        Alcotest.test_case "iommu revoke drops ring grants" `Quick
+          test_iommu_revoke_drops_ring_grants;
+        qcheck prop_pin_ring_matches_model;
         Alcotest.test_case "forged descriptor blocked (full)" `Quick
           test_forged_descriptor_blocked_under_full;
         Alcotest.test_case "forged descriptor corrupts (disabled)" `Quick

@@ -47,6 +47,48 @@ let test_cdna_tx_saturates () =
   check_int "no faults" 0 m.Experiments.Run.faults;
   check_int "no drops" 0 m.Experiments.Run.rx_drops
 
+(* End-to-end allocation of the steady-state CDNA transmit datapath:
+   minor words per fired event over the measured window of a fixed short
+   run (3 guests, 1 RiceNIC, Full protection, spec-only payloads). The
+   count is deterministic. The guest stack, the workload, the peer and
+   frame records still allocate; the hypervisor, NIC, DMA and scheduler
+   layers do not (DESIGN.md section 8). The bound sits about 15% above
+   the measured value. *)
+let alloc_words_per_event = 10.33
+let alloc_bound = alloc_words_per_event *. 1.15
+
+let test_cdna_tx_allocation () =
+  let cfg =
+    {
+      cdna_tx with
+      Experiments.Config.nic = Experiments.Config.Ricenic;
+      nics = 1;
+      guests = 3;
+      protection = Cdna.Cdna_costs.Full;
+      materialize = false;
+    }
+  in
+  let tb = Experiments.Testbed.build cfg in
+  tb.Experiments.Testbed.start ();
+  let engine = tb.Experiments.Testbed.engine in
+  Sim.Engine.run engine ~until:cfg.Experiments.Config.warmup;
+  let b = Experiments.Run.reset_after_warmup cfg tb in
+  let fired = Sim.Engine.fired_count engine in
+  let words = Gc.minor_words () in
+  Sim.Engine.run engine
+    ~until:
+      (Sim.Time.add cfg.Experiments.Config.warmup
+         cfg.Experiments.Config.duration);
+  let words = Gc.minor_words () -. words in
+  let events = Sim.Engine.fired_count engine - fired in
+  let m = Experiments.Run.collect cfg tb b in
+  check_bool "traffic flowed" true (m.Experiments.Run.tx_mbps > 500.);
+  let per_event = words /. float_of_int events in
+  check_bool
+    (Printf.sprintf "%.2f words/event over %d events (bound %.2f)" per_event
+       events alloc_bound)
+    true (per_event <= alloc_bound)
+
 let test_cdna_beats_xen_tx () =
   let c = Experiments.Run.run cdna_tx in
   let x = Experiments.Run.run xen_tx in
@@ -546,6 +588,7 @@ let suite =
       [
         Alcotest.test_case "cdna saturates" `Slow test_cdna_tx_saturates;
         Alcotest.test_case "cdna beats xen tx" `Slow test_cdna_beats_xen_tx;
+        Alcotest.test_case "cdna tx allocation" `Slow test_cdna_tx_allocation;
         Alcotest.test_case "cdna beats xen rx" `Slow test_cdna_beats_xen_rx;
         Alcotest.test_case "profiles conserved" `Slow test_profiles_conserved;
       ] );

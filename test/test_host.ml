@@ -334,6 +334,33 @@ let test_cpu_credits_integer_exact () =
 
 (* ---------- SMP runqueues ---------- *)
 
+(* A post -> dispatch -> complete cycle allocates nothing once the
+   entity's work arrays have grown: the caller's closure is built once,
+   and 1000 cycles together must stay under one word. *)
+let test_cpu_cycle_allocates_nothing () =
+  let engine, _, cpu = make_cpu () in
+  Host.Cpu.stop cpu;
+  let e = Host.Cpu.add_entity cpu ~name:"g" ~weight:256 ~domain:0 in
+  let category = Host.Category.Kernel 0 in
+  let ran = ref 0 in
+  let fn () = incr ran in
+  let cycle () =
+    Host.Cpu.post cpu e ~category ~cost:(us 1) fn;
+    Host.Cpu.post_irq cpu ~cost:(us 1) fn;
+    Sim.Engine.run engine ~until:(Sim.Time.add (Sim.Engine.now engine) (us 10))
+  in
+  for _ = 1 to 10 do
+    cycle ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every item ran" 2020 !ran;
+  check_bool (Printf.sprintf "%.0f words over 1000 cycles" words) true
+    (words < 1.)
+
 let test_smp_runs_in_parallel () =
   (* Two entities on two CPUs complete concurrently, not serialized. *)
   let engine, _, cpu = make_cpu ~cpus:2 ~ctx_switch_cost:0 () in
@@ -454,6 +481,8 @@ let suite =
         Alcotest.test_case "busy matches profile" `Quick test_cpu_busy_matches_profile;
         Alcotest.test_case "stop cancels replenish" `Quick
           test_cpu_stop_cancels_replenish;
+        Alcotest.test_case "cycle allocates nothing" `Quick
+          test_cpu_cycle_allocates_nothing;
         Alcotest.test_case "credits are exact integers" `Quick
           test_cpu_credits_integer_exact;
       ] );

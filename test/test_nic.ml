@@ -46,9 +46,13 @@ let test_mailbox_event_hierarchy () =
   check_int "box vector" (1 lsl 5) (Nic.Mailbox.pending_boxes mb ~ctx:2);
   check Alcotest.(option (pair int int)) "decode" (Some (2, 5))
     (Nic.Mailbox.next_event mb);
+  check_int "next ctx" 2 (Nic.Mailbox.next_ctx mb);
+  check_int "next box" 5 (Nic.Mailbox.next_box mb ~ctx:2);
   check_int "value readable" 1234 (Nic.Mailbox.value mb ~ctx:2 ~mbox:5);
   Nic.Mailbox.clear_event mb ~ctx:2 ~mbox:5;
   check Alcotest.(option (pair int int)) "cleared" None (Nic.Mailbox.next_event mb);
+  check_int "no ctx" (-1) (Nic.Mailbox.next_ctx mb);
+  check_int "no box" (-1) (Nic.Mailbox.next_box mb ~ctx:2);
   check_int "ctx vector cleared" 0 (Nic.Mailbox.pending_contexts mb)
 
 let test_mailbox_lowest_first () =

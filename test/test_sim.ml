@@ -572,6 +572,34 @@ let prop_fi_every_nth_rate =
       FI.injected fi ~site:"s" = events / n
       && FI.observed fi ~site:"s" = events)
 
+(* The ring FIFO behind the datapath's queues agrees with Stdlib.Queue
+   on any push/pop/clear sequence, through growth and wrap-around, and
+   [get] reads the same elements in the same order. *)
+let prop_fifo_matches_queue =
+  QCheck.Test.make ~name:"Fifo matches Stdlib.Queue" ~count:300
+    QCheck.(list (int_range (-2) 40))
+    (fun ops ->
+      let f = Sim.Fifo.create ~dummy:0 and q = Queue.create () in
+      List.for_all
+        (fun op ->
+          (if op = -2 then begin
+             Sim.Fifo.clear f;
+             Queue.clear q
+           end
+           else if op = -1 || op mod 3 = 0 then begin
+             if not (Queue.is_empty q) then
+               assert (Sim.Fifo.pop f = Queue.pop q)
+           end
+           else begin
+             Sim.Fifo.push f op;
+             Queue.push op q
+           end);
+          Sim.Fifo.length f = Queue.length q
+          && Sim.Fifo.to_list f = List.of_seq (Queue.to_seq q)
+          && List.init (Sim.Fifo.length f) (Sim.Fifo.get f)
+             = Sim.Fifo.to_list f)
+        ops)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -595,6 +623,7 @@ let suite =
         Alcotest.test_case "pop releases value" `Quick test_heap_no_pin;
         qcheck prop_heap_sorts;
       ] );
+    ("sim.fifo", [ qcheck prop_fifo_matches_queue ]);
     ( "sim.engine",
       [
         Alcotest.test_case "ordering" `Quick test_engine_ordering;
